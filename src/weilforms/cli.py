@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classnum import hurwitz, prop10_check, remark12_check
@@ -26,14 +25,18 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError("bad rational %r: %s" % (text, exc)) from None
 
 
-def load_gram(path: str):
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
     except ValueError as exc:
         raise InputError("parse error in %s: %s" % (path, exc)) from None
+
+
+def load_gram(path: str):
+    data = _load_json(path)
     if not isinstance(data, dict) or "gram" not in data:
         raise InputError("%s: expected an object with a 'gram' entry" % path)
     rows = data["gram"]
@@ -56,15 +59,6 @@ def parse_beta(module, text: str):
         raise InputError("beta needs %d generator coordinates"
                          % len(module.generator_orders))
     return module.element(coords)
-
-
-@dataclass
-class JobConfig:
-    command: str
-    args: argparse.Namespace
-    cache_dir: str
-    parallelism: int
-    output_format: str
 
 
 def build_parser():
@@ -163,12 +157,11 @@ def _parallel_mapper(parallelism):
     return mapper
 
 
-def dispatch(cfg: JobConfig) -> str:
-    args = cfg.args
-    cache = DensityCache(cfg.cache_dir)
-    pmap = _parallel_mapper(cfg.parallelism)
-    fmt = cfg.output_format
-    cmd = cfg.command
+def dispatch(args: argparse.Namespace) -> str:
+    cache = DensityCache(args.cache_dir)
+    pmap = _parallel_mapper(max(1, args.parallel))
+    fmt = args.output_format
+    cmd = args.command
 
     if cmd == "fqm-info":
         module = discriminant_module(load_gram(args.gram))
@@ -233,8 +226,7 @@ def dispatch(cfg: JobConfig) -> str:
         return _emit(exp.to_json_dict(), _qexp_table(exp), fmt)
 
     if cmd == "theta-lift":
-        with open(args.input) as fh:
-            form = QExpansion.from_json_dict(json.load(fh))
+        form = QExpansion.from_json_dict(_load_json(args.input))
         gram_lat = load_gram(args.gram)
         seed = tuple(_parse_fraction(x) for x in args.seed.split(",")) \
             if args.seed else (1,) + (0,) * (gram_lat.rank - 1)
@@ -243,8 +235,7 @@ def dispatch(cfg: JobConfig) -> str:
         return _emit_lift(lift, args.lift_format, fmt)
 
     if cmd == "doi-naganuma":
-        with open(args.input) as fh:
-            form = QExpansion.from_json_dict(json.load(fh))
+        form = QExpansion.from_json_dict(_load_json(args.input))
         lift = doi_naganuma(args.d, form, _parse_fraction(args.bound))
         return _emit_lift(lift, "hilbert", fmt)
 
@@ -294,11 +285,8 @@ def _emit_lift(lift: OrthogonalExpansion, lift_format, fmt):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = JobConfig(command=args.command, args=args, cache_dir=args.cache_dir,
-                    parallelism=max(1, args.parallel),
-                    output_format=args.output_format)
     try:
-        out = dispatch(cfg)
+        out = dispatch(args)
     except WeilformsError as exc:
         err = {"error": type(exc).__name__, "message": str(exc),
                "exit_code": exc.exit_code}

@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (NumericInconsistencyError, PrecisionError,
+from .errors import (InputError, NumericInconsistencyError, PrecisionError,
                      UnsupportedWeightError)
-from .localdensity import DensityEngine, LocalDensityRecord, local_density, _vp
+from .localdensity import DensityEngine
 from .quadmod import (EvenLattice, FiniteQuadraticModule, FqmElement, _mod1,
                       discriminant_module, weil_matrices)
 from . import _linalg
@@ -305,23 +305,22 @@ class QExpansion:
 
     @classmethod
     def from_json_dict(cls, data):
-        lattice = EvenLattice(tuple(tuple(r) for r in data["gram"]))
-        module = discriminant_module(lattice)
-        coeffs = {}
-        for item in data["coeffs"]:
-            key = (tuple(int(x) for x in item["gamma"]), _frp(item["n"]))
-            coeffs[key] = _frp(item["c"])
-        return cls(module, _frp(data["weight"]), _frp(data["prec"]),
-                   coeffs).validate()
+        try:
+            lattice = EvenLattice(tuple(tuple(r) for r in data["gram"]))
+            coeffs = {}
+            for item in data["coeffs"]:
+                key = (tuple(int(x) for x in item["gamma"]), Fraction(item["n"]))
+                coeffs[key] = Fraction(item["c"])
+            weight, prec = Fraction(data["weight"]), Fraction(data["prec"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError("bad q-expansion (%s: %s)"
+                             % (type(exc).__name__, exc)) from None
+        return cls(discriminant_module(lattice), weight, prec, coeffs).validate()
 
 
 def _frs(x: Fraction) -> str:
     x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def _frp(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # -- the Eisenstein series ----------------------------------------------------

@@ -11,14 +11,19 @@ one- and two-dimensional p-adic blocks; p-integral shift components are
 absorbed (shifting by a p-adic integer is a bijection of residues), blocks
 with no remaining shift have closed-form value distributions constant on
 valuation classes (hyperbolic xy and norm-form x^2+xy+y^2 types, any scale),
-and only genuinely fractional blocks are enumerated, as residue histograms
-that are merged by a single convolution pass.
+and only genuinely fractional blocks are enumerated, as residue histograms.
+The closed-form part is convolved on its nu + 1 class values.  The
+histograms are multiplied into one by Kronecker substitution, and the
+class measure is read off the product through level sums: S_b counts the
+residues t = target mod p^b, and S_b - S_(b+1) those in one valuation class
+of target - t.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .errors import StabilizationError
+from .errors import NotInDualError, StabilizationError
 
 CACHE_ENV_VAR = "WEILFORMS_CACHE_DIR"
 CACHE_DEFAULT = ".weilforms-cache"
@@ -35,7 +40,6 @@ CACHE_SCHEMA = 1
 _MAX_DIST1 = 1 << 18      # largest modulus for a one-variable histogram
 _MAX_DIST2 = 1 << 13      # largest modulus for a two-variable histogram
 _MAX_CONV = 1 << 15       # largest modulus when histograms must be convolved
-_MAX_MEASURE = 1 << 26    # largest modulus for pure class-measure evaluation
 
 
 @dataclass(frozen=True)
@@ -235,38 +239,27 @@ class VClassMeasure:
             a += 1
         return self.vals[a]
 
-    def value_array(self):
-        """Per-residue values as a list indexed by t mod p^nu."""
-        p, nu = self.p, self.nu
-        modulus = p ** nu
-        out = [None] * modulus
-        out[0] = self.zero_val
-        for a in range(nu):
-            step = p ** a
-            val = self.vals[a]
-            for u in range(1, modulus // step):
-                if u % p:
-                    out[u * step] = val
-        return out
-
     def convolve(self, other):
-        """Convolution over Z/p^nu; closed under valuation-class functions."""
+        """Convolution over Z/p^nu; closed under valuation-class functions.
+
+        With class sizes |C_a| = (p-1) p^(nu-a-1) for a < nu and |C_nu| = 1,
+        a residue s of class a and t - s of class b meet t of class c as:
+        a > c forces b = c, a < c forces b = a, and a = c < nu leaves b > c
+        free over all of C_b, or b = c for (p-2) p^(nu-c-1) of the s.
+        """
         p, nu = self.p, self.nu
         assert other.p == p and other.nu == nu
-        modulus = p ** nu
-        if modulus > _MAX_MEASURE:
-            raise StabilizationError("class-measure modulus too large")
-        f_arr = self.value_array()
-        g_arr = other.value_array()
+        f = self.vals + [self.zero_val]
+        g = other.vals + [other.zero_val]
+        sizes = [(p - 1) * p ** (nu - a - 1) for a in range(nu)] + [1]
         out = []
-        for t in [p ** c for c in range(nu)] + [0]:
-            out.append(sum(f_arr[s] * g_arr[(t - s) % modulus]
-                           for s in range(modulus)))
+        for c in range(nu + 1):
+            same = (p - 2) * p ** (nu - c - 1) if c < nu else 1
+            out.append(f[c] * sum(g[b] * sizes[b] for b in range(c + 1, nu + 1))
+                       + g[c] * sum(f[a] * sizes[a] for a in range(c + 1, nu + 1))
+                       + sum(f[a] * g[a] * sizes[a] for a in range(c))
+                       + f[c] * g[c] * same)
         return VClassMeasure(p, nu, out[:nu], out[nu])
-
-    def total(self):
-        sizes = [self.p ** (self.nu - a - 1) * (self.p - 1) for a in range(self.nu)]
-        return sum(v * s for v, s in zip(self.vals, sizes)) + self.zero_val
 
 
 def _truncate_measure(meas, nu_new):
@@ -341,26 +334,28 @@ def _dist_two(coeffs, p, w_exp):
 
 
 def _convolve_mod(d1, d2, modulus):
-    """Circular convolution of two count vectors mod `modulus`."""
-    m1 = max(d1) if d1 else 0
-    m2 = max(d2) if d2 else 0
-    if m1 * m2 * modulus < (1 << 62):
-        a = np.asarray(d1, dtype=np.int64)
-        b = np.asarray(d2, dtype=np.int64)
-        full = np.convolve(a, b)
-        out = full[:modulus].copy()
-        out[:full.size - modulus] += full[modulus:]
-        return [int(v) for v in out]
-    out = [0] * modulus
-    for i, x in enumerate(d1):
-        if x:
-            for j, y in enumerate(d2):
-                if y:
-                    k = i + j
-                    if k >= modulus:
-                        k -= modulus
-                    out[k] += x * y
-    return out
+    """Circular convolution of two count vectors mod `modulus`.
+
+    Kronecker substitution: each vector is packed into one integer, w bytes
+    per entry, the two integers are multiplied, and the product is folded at
+    `modulus` entries.  A folded entry sum_i d1[i] d2[k - i] is at most
+    max(d1) sum(d2) and max(d2) sum(d1), so w bytes hold it without a carry
+    into its neighbour.
+    """
+    bound = min(max(d1, default=0) * sum(d2), max(d2, default=0) * sum(d1))
+    w = max(1, (bound.bit_length() + 7) // 8)
+
+    def pack(d):
+        buf = bytearray(w * modulus)
+        for i, v in enumerate(d):
+            if v:
+                buf[i * w:(i + 1) * w] = v.to_bytes(w, "little")
+        return int.from_bytes(buf, "little")
+
+    bits = 8 * w * modulus
+    prod = pack(d1) * pack(d2)
+    raw = ((prod & ((1 << bits) - 1)) + (prod >> bits)).to_bytes(w * modulus, "little")
+    return [int.from_bytes(raw[j * w:(j + 1) * w], "little") for j in range(modulus)]
 
 
 # -- the engine ----------------------------------------------------------------
@@ -389,7 +384,6 @@ class DensityEngine:
         for row in self.core:
             pairing = sum(Fraction(a) * Fraction(g) for a, g in zip(row, gamma))
             if pairing.denominator != 1:
-                from .errors import NotInDualError
                 raise NotInDualError("gamma does not pair integrally with the lattice")
 
     def _plan(self, p, gamma):
@@ -466,34 +460,33 @@ class DensityEngine:
             conv = _convolve_mod(conv, d, modulus)
         target = _int_mod(n * pscale, modulus, p)
         enum_rank = sum(1 if kind == "one" else 2 for kind, _ in enum_polys)
-        if self.j_pad == 0 and not measured:
-            total = conv[target]
-        else:
-            nu_mod = p ** nu
-            total = 0
-            for t_val, cnt in enumerate(conv):
-                if cnt:
-                    u = (target - t_val) % modulus
-                    if u % pscale == 0:
-                        total += cnt * pad.value((u // pscale) % nu_mod)
+        # level sums: levels[a] counts t = target mod p^(scale+a); the pad
+        # takes vals[a] where v_p(target - t) = scale + a exactly
+        levels = [sum(conv[target % p ** b::p ** b])
+                  for b in range(scale, w_exp + 1)]
+        total = pad.zero_val * levels[nu] + sum(
+            val * (levels[a] - levels[a + 1]) for a, val in enumerate(pad.vals))
         overcount = pscale ** enum_rank
         assert total % overcount == 0
         return total // overcount
 
     def max_feasible_exponent(self, p, gamma, n):
-        """Largest nu the counting caps allow for this configuration."""
+        """Largest nu the counting caps allow for this configuration.
+
+        Unbounded when no block is enumerated: class measures are convolved
+        in closed form at any modulus.
+        """
         enum_polys, _ = self._plan(p, gamma)
+        if not enum_polys:
+            return math.inf
         scale = _den_exp(Fraction(n), p)
         for _, coeffs in enum_polys:
             for c in coeffs:
                 scale = max(scale, _den_exp(c, p))
-        if not enum_polys:
-            cap = _MAX_MEASURE
-        else:
-            cap = _MAX_CONV if len(enum_polys) > 1 else _MAX_DIST1
-            for kind, _ in enum_polys:
-                if kind == "two":
-                    cap = min(cap, _MAX_DIST2)
+        cap = _MAX_CONV if len(enum_polys) > 1 else _MAX_DIST1
+        for kind, _ in enum_polys:
+            if kind == "two":
+                cap = min(cap, _MAX_DIST2)
         w_max = 0
         while p ** (w_max + 1) <= cap:
             w_max += 1
@@ -582,17 +575,19 @@ class DensityCache:
         path = self._path(key)
         if not os.path.exists(path):
             return None
+        # an entry that cannot be read is a miss: it is recomputed and rewritten
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError):
+            if data.get("schema") != CACHE_SCHEMA:
+                return None
+            num, den = data["value"].split("/")
+            rec = LocalDensityRecord(prime=data["p"],
+                                     stabilized_at=data["stabilized_at"],
+                                     value=Fraction(int(num), int(den)))
+        except (OSError, ValueError, AttributeError, KeyError, TypeError,
+                ZeroDivisionError):
             return None
-        if data.get("schema") != CACHE_SCHEMA:
-            return None
-        num, den = data["value"].split("/")
-        rec = LocalDensityRecord(prime=data["p"],
-                                 stabilized_at=data["stabilized_at"],
-                                 value=Fraction(int(num), int(den)))
         self._mem[key] = rec
         return rec
 

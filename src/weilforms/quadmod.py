@@ -253,7 +253,6 @@ def weil_matrices(module: FiniteQuadraticModule):
     """Matrices of rho*(S) and rho*(T) in the basis e_gamma, lex order."""
     elems = list(module.elements())
     n = len(elems)
-    index = {g.coords: i for i, g in enumerate(elems)}
     rho_t = np.zeros((n, n), dtype=complex)
     for i, g in enumerate(elems):
         rho_t[i, i] = _e(-module.qvalue(g))
@@ -262,7 +261,6 @@ def weil_matrices(module: FiniteQuadraticModule):
     for j, g in enumerate(elems):
         for i, b in enumerate(elems):
             rho_s[i, j] = phase * _e(module.bilinear(g, b))
-    del index
     return rho_s, rho_t
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import InputError, MismatchError, PrecisionError
-from .eisenstein import QExpansion, _frs, _frp
+from .eisenstein import QExpansion, _frs, factorize
 from .quadmod import EvenLattice, discriminant_module, module_dual_coset
 
 
@@ -116,10 +116,10 @@ class OrthogonalExpansion:
     @classmethod
     def from_json_dict(cls, data):
         gram = LorentzianGram(tuple(tuple(r) for r in data["s"]),
-                              tuple(_frp(x) for x in data["cone_seed"]))
-        coeffs = {tuple(_frp(x) for x in item["r"]): _frp(item["c"])
+                              tuple(Fraction(x) for x in data["cone_seed"]))
+        coeffs = {tuple(Fraction(x) for x in item["r"]): Fraction(item["c"])
                   for item in data["coeffs"]}
-        return cls(gram, int(data["weight"]), _frp(data["height_bound"]), coeffs)
+        return cls(gram, int(data["weight"]), Fraction(data["height_bound"]), coeffs)
 
 
 def _cone_vectors(gram: LorentzianGram, height_bound: Fraction):
@@ -251,7 +251,7 @@ def doi_naganuma(disc: int, form: QExpansion, height_bound) -> OrthogonalExpansi
     disc = int(disc)
     if disc <= 1 or disc % 4 != 1:
         raise InputError("discriminant must be 1 mod 4 and > 1")
-    for p, e in _factor(disc):
+    for p, e in factorize(disc):
         if e > 1:
             raise InputError("discriminant must be fundamental")
     gram = hilbert_gram(disc)
@@ -259,19 +259,3 @@ def doi_naganuma(disc: int, form: QExpansion, height_bound) -> OrthogonalExpansi
         raise MismatchError("Hilbert lifts need integral weight input")
     return theta_lift(form, gram, int(form.weight), height_bound)
 
-
-def _factor(m):
-    out = []
-    d = 2
-    m = abs(m)
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out

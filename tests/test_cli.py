@@ -153,6 +153,21 @@ def test_exit_codes(gram_file, capsys, tmp_path):
                                     str(form), "--weight", "5", "--bound", "8"])
     assert code == 4
     assert json.loads(err)["error"] == "PrecisionError"
+    # 2: a lift input that is missing or is not a q-expansion
+    no_gram = tmp_path / "no_gram.json"
+    no_gram.write_text(json.dumps({"weight": "5/1", "prec": "2/1",
+                                   "coeffs": []}))
+    for argv in (["theta-lift", "--gram", s2, "--input", "/nonexistent.json",
+                  "--weight", "5", "--bound", "8"],
+                 ["theta-lift", "--gram", s2, "--input", str(no_gram),
+                  "--weight", "5", "--bound", "8"],
+                 ["doi-naganuma", "--d", "5", "--input", "/nonexistent.json",
+                  "--bound", "8"],
+                 ["doi-naganuma", "--d", "5", "--input", str(no_gram),
+                  "--bound", "8"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
 
 
 def test_cache_cold_and_warm_identical(gram_file, capsys, tmp_path):

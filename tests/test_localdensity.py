@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weilforms.eisenstein import good_prime_local_factor
 from weilforms.localdensity import (DensityCache, DensityEngine, VClassMeasure,
-                                    count_solutions_bruteforce, local_density)
+                                    _convolve_mod, count_solutions_bruteforce,
+                                    local_density)
 from weilforms.quadmod import EvenLattice
 
 
@@ -113,7 +115,7 @@ def test_vclass_measures_match_bruteforce():
             for x in range(modulus):
                 for y in range(modulus):
                     brute[x * y % modulus] += 1
-            assert meas.value_array() == brute
+            assert [meas.value(t) for t in range(modulus)] == brute
     for nu in (1, 2, 3, 4):
         meas = VClassMeasure.norm_form(nu)
         modulus = 2 ** nu
@@ -121,7 +123,53 @@ def test_vclass_measures_match_bruteforce():
         for x in range(modulus):
             for y in range(modulus):
                 brute[(x * x + x * y + y * y) % modulus] += 1
-        assert meas.value_array() == brute
+        assert [meas.value(t) for t in range(modulus)] == brute
+
+
+def test_class_convolve_matches_residue_convolution():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for nu in range(6):
+            modulus = p ** nu
+            f, g = (VClassMeasure(p, nu, [rng.randrange(100) for _ in range(nu)],
+                                  rng.randrange(100)) for _ in range(2))
+            fa = np.array([f.value(t) for t in range(modulus)], dtype=np.int64)
+            ga = np.array([g.value(t) for t in range(modulus)], dtype=np.int64)
+            full = np.convolve(fa, ga)
+            brute = full[:modulus].copy()
+            brute[:full.size - modulus] += full[modulus:]
+            out = f.convolve(g)
+            assert [out.value(t) for t in range(modulus)] == brute.tolist(), (p, nu)
+
+
+def test_convolve_mod_exact_beyond_int64():
+    rng = random.Random(11)
+    for modulus in (1, 2, 7, 64):
+        d1 = [rng.randrange(1 << 70) if rng.random() < 0.8 else 0
+              for _ in range(modulus)]
+        d2 = [rng.randrange(1 << 64, 1 << 66) for _ in range(modulus)]
+        want = [0] * modulus
+        for i, x in enumerate(d1):
+            for j, y in enumerate(d2):
+                want[(i + j) % modulus] += x * y
+        assert _convolve_mod(d1, d2, modulus) == want
+    assert _convolve_mod([0, 0, 0], [5, 0, 1], 3) == [0, 0, 0]
+
+
+def test_count_three_enumerated_blocks_with_pad():
+    # three one-dimensional blocks are convolved, then read against xy
+    gram = ((2, 0, 0), (0, 6, 0), (0, 0, -4))
+    big = [list(r) + [0, 0] for r in gram] + [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]
+    eng = DensityEngine(gram, 1)
+    for gamma in ((0, 0, 0), (Fraction(1, 2), Fraction(1, 6), Fraction(1, 4))):
+        q = sum(gamma[i] * gram[i][i] * gamma[i] for i in range(3)) / 2
+        for p, nu in ((2, 1), (2, 2), (3, 1)):
+            assert len(eng._plan(p, gamma)[0]) == 3
+            for k in (1, 2, 3, 4):
+                n = q % 1 + k
+                want = count_solutions_bruteforce(big, p, n,
+                                                  list(gamma) + [0, 0], nu)
+                assert eng.count(p, n, gamma, nu) == want, (gamma, p, nu, n)
 
 
 def test_density_cache_round_trip(tmp_path):
@@ -140,6 +188,16 @@ def test_density_cache_round_trip(tmp_path):
     eng3 = DensityEngine(((2, 1), (1, -2)), 1, cache=cache3)
     rec3 = eng3.density(2, Fraction(1), (Fraction(0), Fraction(0)))
     assert rec3.value == rec1.value
+    # entries of the wrong shape are misses: recomputed and rewritten
+    for bad in ('[1, 2]', '{"schema": 1, "p": 2}', '"text"',
+                '{"schema": 1, "p": 2, "stabilized_at": 1, "value": "7"}',
+                '{"schema": 1, "p": 2, "stabilized_at": 1, "value": "1/0"}',
+                '{"schema": 1, "p": 2, "stabilized_at": 1, "value": 7}'):
+        path.write_text(bad)
+        eng4 = DensityEngine(((2, 1), (1, -2)), 1,
+                             cache=DensityCache(str(tmp_path / "cache")))
+        assert eng4.density(2, Fraction(1), (Fraction(0), Fraction(0))) == rec1
+        assert DensityCache(str(tmp_path / "cache")).get(key) == rec1
 
 
 def test_decomposition_fuzz_against_bruteforce():
