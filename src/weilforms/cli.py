@@ -25,6 +25,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError("bad rational %r: %s" % (text, exc)) from None
 
 
+def _parse_prec(text: str) -> Fraction:
+    prec = _parse_fraction(text)
+    if prec < 0:
+        raise InputError("--prec must not be negative, got %s" % text)
+    return prec
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -195,7 +202,7 @@ def dispatch(args: argparse.Namespace) -> str:
     if cmd == "eisenstein":
         lattice = load_gram(args.gram)
         exp = eisenstein_qexp(lattice, _parse_fraction(args.weight),
-                              _parse_fraction(args.prec), cache=cache,
+                              _parse_prec(args.prec), cache=cache,
                               parallel_map=pmap)
         return _emit(exp.to_json_dict(), _qexp_table(exp), fmt)
 
@@ -205,12 +212,12 @@ def dispatch(args: argparse.Namespace) -> str:
         beta = parse_beta(module, args.beta)
         idx = CuspIndex(_parse_fraction(args.m), beta)
         exp = r_series(lattice, _parse_fraction(args.weight), idx,
-                       _parse_fraction(args.prec), cache=cache, parallel_map=pmap)
+                       _parse_prec(args.prec), cache=cache, parallel_map=pmap)
         return _emit(exp.to_json_dict(), _qexp_table(exp), fmt)
 
     if cmd == "cusp-basis":
         lattice = load_gram(args.gram)
-        prec = _parse_fraction(args.prec) if args.prec else None
+        prec = _parse_prec(args.prec) if args.prec else None
         basis = cusp_basis(lattice, _parse_fraction(args.weight), prec=prec,
                            cache=cache, parallel_map=pmap)
         payload = [{"m": _frs(ix.m), "beta": list(ix.beta.coords),
@@ -222,7 +229,7 @@ def dispatch(args: argparse.Namespace) -> str:
         return _emit(payload, rows, fmt)
 
     if cmd == "weight3":
-        exp = weight3_cyclic(args.n, _parse_fraction(args.prec))
+        exp = weight3_cyclic(args.n, _parse_prec(args.prec))
         return _emit(exp.to_json_dict(), _qexp_table(exp), fmt)
 
     if cmd == "theta-lift":

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .classnum import hurwitz, unit_orbit_correction
 from .dimensions import dim_antisymmetric
-from .eisenstein import QExpansion, eisenstein_qexp, exponents_for
+from .eisenstein import (QExpansion, eisenstein_qexp, exponents_for,
+                         hyperbolic_padding)
 from .errors import (ExhaustionError, IndexMismatchError, UnsupportedModuleError,
                      UnsupportedWeightError, WrongParityError)
 from .quadmod import (EvenLattice, FqmElement, _mod1, cyclic_module,
@@ -105,13 +106,16 @@ def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
     m = idx.m
     beta_vec = module.dual_vector(idx.beta)
     enlarged = enlarge_lattice(lattice, m, beta_vec)
+    eis_weight = weight - Fraction(3, 2)
+    hyperbolic_padding(enlarged, eis_weight)
+    reps = [g for g in module.orbit_reps() if not module.is_self_negative(g)]
+    if not reps:
+        # every element is its own negative: no coefficient reads the series
+        return QExpansion(module, weight, prec, {})
     eis = _eis if _eis is not None else eisenstein_qexp(
-        enlarged, weight - Fraction(3, 2), prec, cache=cache,
-        parallel_map=parallel_map)
+        enlarged, eis_weight, prec, cache=cache, parallel_map=parallel_map)
     coeffs = {}
-    for gamma in module.orbit_reps():
-        if module.is_self_negative(gamma):
-            continue
+    for gamma in reps:
         for n in exponents_for(module, gamma, prec):
             views = jacobi_coefficients(module, idx, gamma, n, eis,
                                         beta_vec=beta_vec)

@@ -315,7 +315,13 @@ class QExpansion:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError("bad q-expansion (%s: %s)"
                              % (type(exc).__name__, exc)) from None
-        return cls(discriminant_module(lattice), weight, prec, coeffs).validate()
+        module = discriminant_module(lattice)
+        orders = module.generator_orders
+        for g, _ in coeffs:
+            if len(g) != len(orders) or not all(0 <= c < d for c, d in zip(g, orders)):
+                raise InputError("gamma %s is not in the discriminant group %s"
+                                 % (list(g), list(orders)))
+        return cls(module, weight, prec, coeffs).validate()
 
 
 def _frs(x: Fraction) -> str:
@@ -339,6 +345,16 @@ def exponents_for(module, gamma, prec, include_zero=False):
     return out
 
 
+def hyperbolic_padding(lattice: EvenLattice, weight) -> int:
+    """The number j of hyperbolic planes with rank + 2j = 2 weight."""
+    pad2 = 2 * Fraction(weight) - lattice.rank
+    if pad2.denominator != 1 or int(pad2) < 0 or int(pad2) % 2:
+        raise UnsupportedWeightError(
+            "weight %s is not reachable from rank %d by hyperbolic padding"
+            % (Fraction(weight), lattice.rank))
+    return int(pad2) // 2
+
+
 def eisenstein_qexp(lattice: EvenLattice, weight, prec, cache=None,
                     parallel_map=None) -> QExpansion:
     """Eisenstein series attached to e_0 for the dual Weil representation.
@@ -355,12 +371,7 @@ def eisenstein_qexp(lattice: EvenLattice, weight, prec, cache=None,
     parity = 2 * weight + sig
     if parity.denominator != 1 or int(parity) % 4 != 0:
         return QExpansion(module, weight, prec, {})
-    pad2 = 2 * weight - lattice.rank
-    if pad2.denominator != 1 or int(pad2) < 0 or int(pad2) % 2:
-        raise UnsupportedWeightError(
-            "weight %s is not reachable from rank %d by hyperbolic padding"
-            % (weight, lattice.rank))
-    j_pad = int(pad2) // 2
+    j_pad = hyperbolic_padding(lattice, weight)
     core = tuple(tuple(-x for x in row) for row in lattice.gram)
     engine = DensityEngine(core, j_pad, cache=cache)
     eps = 1 if int(parity) % 8 == 0 else -1

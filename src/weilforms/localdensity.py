@@ -11,7 +11,8 @@ one- and two-dimensional p-adic blocks; p-integral shift components are
 absorbed (shifting by a p-adic integer is a bijection of residues), blocks
 with no remaining shift have closed-form value distributions constant on
 valuation classes (hyperbolic xy and norm-form x^2+xy+y^2 types, any scale),
-and only genuinely fractional blocks are enumerated, as residue histograms.
+and fractional blocks get residue histograms: closed form for binary blocks,
+enumerated over the p^W residues only for one-dimensional blocks.
 The closed-form part is convolved on its nu + 1 class values.  The
 histograms are multiplied into one by Kronecker substitution, and the
 class measure is read off the product through level sums: S_b counts the
@@ -38,7 +39,7 @@ CACHE_DEFAULT = ".weilforms-cache"
 CACHE_SCHEMA = 1
 
 _MAX_DIST1 = 1 << 18      # largest modulus for a one-variable histogram
-_MAX_DIST2 = 1 << 13      # largest modulus for a two-variable histogram
+_MAX_DIST2 = 1 << 13      # largest counting modulus with a shifted binary block
 _MAX_CONV = 1 << 15       # largest modulus when histograms must be convolved
 
 
@@ -315,22 +316,20 @@ def _dist_one(coeffs, p, w_exp):
 
 
 def _dist_two(coeffs, p, w_exp):
-    """Counts of a two-variable quadratic mod p^W over (x, y) mod p^W."""
+    """Counts of a shifted binary quadratic mod p^W over (x, y) mod p^W.
+
+    With g = min(v_p(c_x), v_p(c_y), W) the form is c0 + p^g (l + p q), l a
+    primitive linear form, as the shift is fractional.  A map with unit
+    derivative permutes residues (Hensel): v = c0 mod p^g has p^(W+g) cells.
+    """
     modulus = p ** w_exp
-    if modulus > _MAX_DIST2:
-        raise StabilizationError("2-dim counting modulus %d too large" % modulus)
     c0, cx, cy, cxx, cxy, cyy = (_int_mod(c, modulus, p) for c in coeffs)
-    y = np.arange(modulus, dtype=np.int64)
-    base = ((cyy * y % modulus) * y + cy * y + c0) % modulus
-    counts = np.zeros(modulus, dtype=np.int64)
-    chunk = max(1, (1 << 22) // modulus)
-    for x0 in range(0, modulus, chunk):
-        xs = np.arange(x0, min(x0 + chunk, modulus), dtype=np.int64)
-        quad = ((cxx * xs % modulus) * xs + cx * xs) % modulus
-        lin = (cxy * xs) % modulus
-        vals = (quad[:, None] + lin[:, None] * y[None, :] + base[None, :]) % modulus
-        counts += np.bincount(vals.ravel(), minlength=modulus)
-    return [int(v) for v in counts]
+    g = min(_vp(c, p) for c in (cx, cy, modulus) if c)
+    assert g == w_exp or all(c % p ** (g + 1) == 0 for c in (cxx, cxy, cyy))
+    step = p ** g
+    counts = [0] * modulus
+    counts[c0 % step::step] = [p ** (w_exp + g)] * (modulus // step)
+    return counts
 
 
 def _convolve_mod(d1, d2, modulus):

@@ -168,6 +168,28 @@ def test_exit_codes(gram_file, capsys, tmp_path):
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert json.loads(err)["error"] == "InputError"
+    # 2: a gamma outside the discriminant group of the lift input
+    bad_gamma = tmp_path / "bad_gamma.json"
+    bad_gamma.write_text(json.dumps({"gram": [[-4]], "weight": "11/2",
+                                     "prec": "2/1", "coeffs": [
+                                         {"gamma": [5], "n": "1/8", "c": "1/1"}]}))
+    code, _, err = run_cli(capsys, ["theta-lift", "--gram", s2, "--input",
+                                    str(bad_gamma), "--weight", "5",
+                                    "--bound", "8"])
+    assert code == 2
+    assert json.loads(err)["error"] == "InputError"
+    # 2: a negative precision; 0 is an empty series
+    g1 = gram_file("g1.json", [[-2]])
+    for argv in (["eisenstein", "--gram", g1, "--weight", "5/2"],
+                 ["r-series", "--gram", g2, "--weight", "11/2", "--m", "1/8",
+                  "--beta", "3"],
+                 ["cusp-basis", "--gram", g5, "--weight", "5"],
+                 ["weight3", "--n", "5"]):
+        code, _, err = run_cli(capsys, argv + ["--prec", "-1"])
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+        code, out, _ = run_cli(capsys, argv + ["--prec", "0"])
+        assert code == 0
 
 
 def test_cache_cold_and_warm_identical(gram_file, capsys, tmp_path):

@@ -146,3 +146,22 @@ def test_jacobi_coefficient_views():
 def test_modularity_of_golden_series():
     f = n2_form(10)[2]
     assert modularity_residual(f) < 1e-4
+
+
+def test_all_two_torsion_r_series_reads_no_series(monkeypatch):
+    # every element is its own negative, so the enlarged series is not built
+    import weilforms.cuspgen as cuspgen
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eisenstein_qexp called")
+
+    monkeypatch.setattr(cuspgen, "eisenstein_qexp", refuse)
+    L = EvenLattice(((2,),))
+    A = discriminant_module(L)
+    f = r_series(L, Fraction(9, 2), CuspIndex(Fraction(3, 4), A.element((1,))), 3)
+    assert f.coeffs == {} and f.weight == Fraction(9, 2)
+    # the weight checks still run first
+    L6 = EvenLattice(tuple(tuple(2 * (i == j) for j in range(6)) for i in range(6)))
+    zero = discriminant_module(L6).zero()
+    with pytest.raises(UnsupportedWeightError, match="not reachable from rank 7"):
+        r_series(L6, 4, CuspIndex(1, zero), 3)

@@ -7,7 +7,7 @@ from weilforms.eisenstein import (KroneckerCharacter, QExpansion, eisenstein_qex
                                   fundamental_discriminant_of,
                                   generalized_bernoulli, kronecker,
                                   modularity_residual)
-from weilforms.errors import UnsupportedWeightError
+from weilforms.errors import InputError, UnsupportedWeightError
 from weilforms.quadmod import EvenLattice, discriminant_module, module_dual_coset
 
 
@@ -202,6 +202,16 @@ def test_from_json_rejects_bad_exponent_class():
     data["coeffs"].append({"gamma": [1, 1], "n": "1/7", "c": "3/1"})
     with pytest.raises(Exception):
         QExpansion.from_json_dict(data)
+
+
+def test_from_json_rejects_gamma_outside_group():
+    data = {"gram": [[-2]], "weight": "5/2", "prec": "2/1",
+            "coeffs": [{"gamma": [1], "n": "1/4", "c": "3/1"}]}
+    assert QExpansion.from_json_dict(data).coefficient((1,), Fraction(1, 4)) == 3
+    for gamma in ([1, 7, 9], [3], [-1], [], [0, 1]):
+        data["coeffs"][0]["gamma"] = gamma
+        with pytest.raises(InputError, match="not in the discriminant group"):
+            QExpansion.from_json_dict(data)
 
 
 def test_parallel_map_determinism():

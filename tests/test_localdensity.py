@@ -6,9 +6,9 @@ import pytest
 
 from weilforms.eisenstein import good_prime_local_factor
 from weilforms.localdensity import (DensityCache, DensityEngine, VClassMeasure,
-                                    _convolve_mod, count_solutions_bruteforce,
-                                    local_density)
-from weilforms.quadmod import EvenLattice
+                                    _convolve_mod, _den_exp, _dist_two, _int_mod,
+                                    count_solutions_bruteforce, local_density)
+from weilforms.quadmod import EvenLattice, discriminant_module
 
 
 def test_spec_rank_one_density():
@@ -170,6 +170,68 @@ def test_count_three_enumerated_blocks_with_pad():
                 want = count_solutions_bruteforce(big, p, n,
                                                   list(gamma) + [0, 0], nu)
                 assert eng.count(p, n, gamma, nu) == want, (gamma, p, nu, n)
+
+
+def _dist_two_enumerated(coeffs, p, w_exp):
+    """Histogram of a two-variable quadratic mod p^W over all p^(2W) cells."""
+    modulus = p ** w_exp
+    c0, cx, cy, cxx, cxy, cyy = (_int_mod(c, modulus, p) for c in coeffs)
+    x = np.arange(modulus, dtype=np.int64)[:, None]
+    y = np.arange(modulus, dtype=np.int64)[None, :]
+    vals = (c0 + cx * x + cy * y + cxx * x * x + cxy * x * y + cyy * y * y) % modulus
+    return np.bincount(vals.ravel(), minlength=modulus).tolist()
+
+
+def test_dist_two_closed_form_matches_enumeration():
+    # 2^e U with U even unimodular (hyperbolic or norm-form class), shifted by
+    # a primitive w0 / 2^sigma, with the coefficients count() hands over
+    rng = random.Random(23)
+    det_classes = set()
+    for _ in range(400):
+        e, sigma = rng.randrange(4), rng.randrange(1, 5)
+        extra, w_exp = rng.randrange(3), rng.randrange(1, 8)
+        u = (2 * rng.randrange(-4, 5), 2 * rng.randrange(-4, 5) + 1,
+             2 * rng.randrange(-4, 5))
+        det_classes.add((u[0] * u[2] - u[1] ** 2) % 8)
+        a, b, c = (Fraction(2 ** e * x) for x in u)
+        while True:
+            s0, t0 = rng.randrange(2 ** sigma), rng.randrange(2 ** sigma)
+            if s0 % 2 or t0 % 2:
+                break
+        s, t = Fraction(s0, 2 ** sigma), Fraction(t0, 2 ** sigma)
+        coeffs = (a / 2 * s * s + b * s * t + c / 2 * t * t, a * s + b * t,
+                  b * s + c * t, a / 2, b, c / 2)
+        scale = max(_den_exp(x, 2) for x in coeffs) + extra
+        coeffs = tuple(x * 2 ** scale for x in coeffs)
+        assert _dist_two(coeffs, 2, w_exp) == _dist_two_enumerated(coeffs, 2, w_exp), \
+            (u, e, s, t, scale, w_exp)
+    assert det_classes == {3, 7}
+
+
+def test_count_binary_blocks_match_bruteforce():
+    # 2 U and 2 (x^2 + xy + y^2) at p = 2: every dual coset, with and without
+    # a hyperbolic pad
+    reached = 0
+    for gram in (((0, 2), (2, 0)), ((4, 2), (2, 4))):
+        module = discriminant_module(EvenLattice(gram))
+        for j_pad in (0, 1):
+            eng = DensityEngine(gram, j_pad)
+            big = [list(r) + [0] * (2 * j_pad) for r in gram]
+            if j_pad:
+                big += [[0, 0, 0, 1], [0, 0, 1, 0]]
+            for elem in module.elements():
+                gamma = tuple(module.dual_vector(elem))
+                reached += any(kind == "two" for kind, _ in eng._plan(2, gamma)[0])
+                q = sum(gamma[i] * gram[i][k] * gamma[k]
+                        for i in range(2) for k in range(2)) / 2
+                for nu in (1, 2):
+                    for k in (1, 2, 3, 4):
+                        n = (-q) % 1 + k
+                        want = count_solutions_bruteforce(
+                            big, 2, n, list(gamma) + [0] * 2 * j_pad, nu)
+                        assert eng.count(2, n, gamma, nu) == want, \
+                            (gram, j_pad, gamma, nu, n)
+    assert reached
 
 
 def test_density_cache_round_trip(tmp_path):
