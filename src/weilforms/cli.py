@@ -48,7 +48,7 @@ def load_gram(path: str):
         raise InputError("%s: expected an object with a 'gram' entry" % path)
     rows = data["gram"]
     try:
-        return EvenLattice(tuple(tuple(int(x) for x in row) for row in rows))
+        return EvenLattice(tuple(tuple(row) for row in rows))
     except (TypeError, ValueError) as exc:
         raise InputError("%s: bad gram matrix: %s" % (path, exc)) from None
 

@@ -49,12 +49,6 @@ def bernoulli_number(n: int) -> Fraction:
     return _bernoulli_list(n)[n]
 
 
-def bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    x = Fraction(x)
-    bs = _bernoulli_list(n)
-    return sum(Fraction(math.comb(n, k)) * bs[k] * x ** (n - k) for k in range(n + 1))
-
-
 def factorize(m: int):
     """Trial-division factorization of |m| as a list of (p, e)."""
     m = abs(int(m))
@@ -148,16 +142,20 @@ class KroneckerCharacter:
 
 
 def generalized_bernoulli(chi: KroneckerCharacter, n: int) -> Fraction:
-    """B_{n,chi}, so that L(1-n, chi) = -B_{n,chi} / n."""
+    """B_{n,chi}, so that L(1-n, chi) = -B_{n,chi} / n.
+
+    Expanding f^(n-1) sum_a chi(a) B_n(a/f) over the Bernoulli polynomial
+    gives sum_j C(n,j) B_j f^(j-1) S_(n-j) with integer power sums
+    S_m = sum_(a <= f) chi(a) a^m.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.conductor
-    total = Fraction(0)
-    for a in range(1, f + 1):
-        ca = chi(a)
-        if ca:
-            total += ca * bernoulli_poly(n, Fraction(a, f))
-    return Fraction(f) ** (n - 1) * total
+    support = [(a, chi(a)) for a in range(1, f + 1)]
+    sums = [sum(c * a ** m for a, c in support if c) for m in range(n + 1)]
+    bs = _bernoulli_list(n)
+    return sum(math.comb(n, j) * bs[j] * Fraction(f) ** (j - 1) * sums[n - j]
+               for j in range(n + 1))
 
 
 def lvalue_at_negative(chi: KroneckerCharacter, n: int) -> Fraction:

@@ -13,11 +13,11 @@ with no remaining shift have closed-form value distributions constant on
 valuation classes (hyperbolic xy and norm-form x^2+xy+y^2 types, any scale),
 and fractional blocks get residue histograms: closed form for binary blocks,
 enumerated over the p^W residues only for one-dimensional blocks.
-The closed-form part is convolved on its nu + 1 class values.  The
-histograms are multiplied into one by Kronecker substitution, and the
-class measure is read off the product through level sums: S_b counts the
-residues t = target mod p^b, and S_b - S_(b+1) those in one valuation class
-of target - t.
+The closed-form part is convolved on its nu + 1 class values.  The class
+measure is read off the histograms through level sums: S_b counts the
+residues t = target mod p^b of their convolution, and S_b - S_(b+1) those
+in one valuation class of target - t.  Each S_b is one dot product of two
+vectors folded to p^b; the last histogram is never multiplied out.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,6 +336,7 @@ def _dist_two(coeffs, p, w_exp):
 def _convolve_mod(d1, d2, modulus):
     """Circular convolution of two count vectors mod `modulus`.
 
+    `count` needs it only for all but the last of three or more histograms.
     Kronecker substitution: each vector is packed into one integer, w bytes
     per entry, the two integers are multiplied, and the product is folded at
     `modulus` entries.  A folded entry sum_i d1[i] d2[k - i] is at most
@@ -355,6 +357,22 @@ def _convolve_mod(d1, d2, modulus):
     prod = pack(d1) * pack(d2)
     raw = ((prod & ((1 << bits) - 1)) + (prod >> bits)).to_bytes(w * modulus, "little")
     return [int.from_bytes(raw[j * w:(j + 1) * w], "little") for j in range(modulus)]
+
+
+def _level_sums(f, g, target, p, lo, hi):
+    """S_b, b = lo ... hi, of the convolution f * g mod p^hi: folded dot products."""
+    levels = []
+    for b in range(hi, lo - 1, -1):
+        step, t = p ** b, target % p ** b
+        if len(f) > step:
+            f, g = ([sum(d[r::step]) for r in range(step)] for d in (f, g))
+        levels.insert(0, sum(map(operator.mul, f, g[t::-1] + g[:t:-1])))
+    return levels
+
+
+def _counting_scale(n, enum_polys, p):
+    """Largest p-power denominator of n and of the enumerated coefficients."""
+    return max([_den_exp(n, p)] + [_den_exp(c, p) for _, cs in enum_polys for c in cs])
 
 
 # -- the engine ----------------------------------------------------------------
@@ -429,11 +447,8 @@ class DensityEngine:
         n = Fraction(n)
         self._check_dual(gamma)
         enum_polys, measured = self._plan(p, gamma)
-        scale = _den_exp(n, p)
-        for _, coeffs in enum_polys:
-            for c in coeffs:
-                scale = max(scale, _den_exp(c, p))
-        if not enum_polys and _den_exp(n, p) > 0:
+        scale = _counting_scale(n, enum_polys, p)
+        if not enum_polys and scale > 0:
             return 0
         mkey = tuple(sorted(str(b) for b in measured))
         pad = self._pad_measure(p, nu, mkey, measured)
@@ -446,23 +461,22 @@ class DensityEngine:
         for kind, coeffs in enum_polys:
             key = (p, w_exp, kind, tuple(Fraction(c) * pscale for c in coeffs))
             if key not in self._dist_cache:
-                scaled = key[3]
-                if kind == "one":
-                    self._dist_cache[key] = _dist_one(scaled, p, w_exp)
-                else:
-                    self._dist_cache[key] = _dist_two(scaled, p, w_exp)
+                hist = _dist_one if kind == "one" else _dist_two
+                self._dist_cache[key] = hist(key[3], p, w_exp)
             dists.append(self._dist_cache[key])
         if len(dists) > 1 and modulus > _MAX_CONV:
             raise StabilizationError("convolution modulus %d too large" % modulus)
         conv = dists[0]
-        for d in dists[1:]:
+        for d in dists[1:-1]:
             conv = _convolve_mod(conv, d, modulus)
         target = _int_mod(n * pscale, modulus, p)
         enum_rank = sum(1 if kind == "one" else 2 for kind, _ in enum_polys)
         # level sums: levels[a] counts t = target mod p^(scale+a); the pad
         # takes vals[a] where v_p(target - t) = scale + a exactly
-        levels = [sum(conv[target % p ** b::p ** b])
-                  for b in range(scale, w_exp + 1)]
+        if len(dists) == 1:
+            levels = [sum(conv[target % p ** b::p ** b]) for b in range(scale, w_exp + 1)]
+        else:
+            levels = _level_sums(conv, dists[-1], target, p, scale, w_exp)
         total = pad.zero_val * levels[nu] + sum(
             val * (levels[a] - levels[a + 1]) for a, val in enumerate(pad.vals))
         overcount = pscale ** enum_rank
@@ -478,14 +492,10 @@ class DensityEngine:
         enum_polys, _ = self._plan(p, gamma)
         if not enum_polys:
             return math.inf
-        scale = _den_exp(Fraction(n), p)
-        for _, coeffs in enum_polys:
-            for c in coeffs:
-                scale = max(scale, _den_exp(c, p))
+        scale = _counting_scale(n, enum_polys, p)
         cap = _MAX_CONV if len(enum_polys) > 1 else _MAX_DIST1
-        for kind, _ in enum_polys:
-            if kind == "two":
-                cap = min(cap, _MAX_DIST2)
+        if any(kind == "two" for kind, _ in enum_polys):
+            cap = min(cap, _MAX_DIST2)
         w_max = 0
         while p ** (w_max + 1) <= cap:
             w_max += 1

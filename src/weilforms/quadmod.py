@@ -10,14 +10,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _linalg
-from .errors import (DegenerateModuleError, IndexMismatchError, NotInDualError,
-                     NumericInconsistencyError)
+from .errors import (DegenerateModuleError, IndexMismatchError, InputError,
+                     NotInDualError, NumericInconsistencyError)
 
 SIGNATURE_TOLERANCE = 1e-6
 
@@ -38,6 +39,10 @@ class EvenLattice:
     gram: tuple
 
     def __post_init__(self):
+        bad = [x for row in self.gram for x in row
+               if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
+        if bad:
+            raise InputError("Gram entries must be integers, got %r" % (bad[0],))
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)

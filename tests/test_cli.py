@@ -190,6 +190,21 @@ def test_exit_codes(gram_file, capsys, tmp_path):
         assert json.loads(err)["error"] == "InputError"
         code, out, _ = run_cli(capsys, argv + ["--prec", "0"])
         assert code == 0
+    # 2: a Gram entry that is not an integer, as --gram or in a lift input
+    for rows in ([[2.5]], [["2"]]):
+        code, _, err = run_cli(capsys, ["eisenstein", "--gram",
+                                        gram_file("frac.json", rows),
+                                        "--weight", "5/2", "--prec", "2"])
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+        frac_form = tmp_path / "frac_form.json"
+        frac_form.write_text(json.dumps({"gram": rows, "weight": "11/2",
+                                         "prec": "2/1", "coeffs": []}))
+        code, _, err = run_cli(capsys, ["theta-lift", "--gram", s2, "--input",
+                                        str(frac_form), "--weight", "5",
+                                        "--bound", "8"])
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
 
 
 def test_cache_cold_and_warm_identical(gram_file, capsys, tmp_path):

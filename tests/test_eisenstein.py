@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
 
 from weilforms.eisenstein import (KroneckerCharacter, QExpansion, eisenstein_qexp,
                                   fundamental_discriminant_of,
@@ -136,6 +139,39 @@ def test_generalized_bernoulli_examples():
         for n in range(1, 6):
             if (disc < 0) != (n % 2 == 1):
                 assert generalized_bernoulli(chi, n) == 0
+
+
+def test_generalized_bernoulli_against_sympy():
+    # B_{k,chi} = f^(k-1) sum_(a <= f) chi(a) B_k(a/f), with sympy's Bernoulli
+    # polynomials and Kronecker symbol as the oracle, on every fundamental
+    # discriminant |D| <= 400; the polynomial is evaluated homogenized,
+    # f^k B_k(a/f) = sum_i c_i a^i f^(k-i), in exact integers
+    x = sympy.Symbol("x")
+    polys = {k: [Fraction(int(c.p), int(c.q))
+                 for c in sympy.Poly(sympy.bernoulli(k, x), x).all_coeffs()[::-1]]
+             for k in range(1, 7)}
+    discs = [d for d in range(-400, 401)
+             if d and fundamental_discriminant_of(Fraction(d)) == d]
+    assert len(discs) == 243
+    spf = list(range(401))
+    for q in range(2, 21):
+        for m in range(q * q, 401, q):
+            spf[m] = min(spf[m], q)
+    for disc in discs:
+        # (disc / a) is completely multiplicative in a: sympy's values at
+        # primes, extended through the smallest prime factor
+        f = abs(disc)
+        chi = [0, 1]
+        for a in range(2, f + 1):
+            q = spf[a]
+            chi.append(int(sympy_kronecker(disc, q)) if q == a else chi[q] * chi[a // q])
+        for k, coeffs in polys.items():
+            den = math.lcm(*(c.denominator for c in coeffs))
+            ints = [int(c * den) for c in coeffs]
+            total = sum(chi[a] * sum(c * a ** i * f ** (k - i) for i, c in enumerate(ints))
+                        for a in range(1, f + 1) if chi[a])
+            assert generalized_bernoulli(KroneckerCharacter(disc), k) == \
+                Fraction(total, den * f), (disc, k)
 
 
 def test_kronecker_symbol_against_legendre():

@@ -7,7 +7,8 @@ import pytest
 from weilforms.eisenstein import good_prime_local_factor
 from weilforms.localdensity import (DensityCache, DensityEngine, VClassMeasure,
                                     _convolve_mod, _den_exp, _dist_two, _int_mod,
-                                    count_solutions_bruteforce, local_density)
+                                    _level_sums, count_solutions_bruteforce,
+                                    local_density)
 from weilforms.quadmod import EvenLattice, discriminant_module
 
 
@@ -154,6 +155,54 @@ def test_convolve_mod_exact_beyond_int64():
                 want[(i + j) % modulus] += x * y
         assert _convolve_mod(d1, d2, modulus) == want
     assert _convolve_mod([0, 0, 0], [5, 0, 1], 3) == [0, 0, 0]
+
+
+def test_level_sums_match_full_convolution():
+    # the old read-out is the oracle: the whole product by _convolve_mod, then
+    # slice sums over t = target mod p^b; every target, every lowest level
+    rng = random.Random(12)
+    for p, w_max in ((2, 4), (3, 4), (7, 3)):
+        for w_exp in range(w_max + 1):
+            modulus = p ** w_exp
+            d1 = [rng.randrange(1 << 70) if rng.random() < 0.8 else 0
+                  for _ in range(modulus)]
+            d2 = [rng.randrange(1 << 64, 1 << 66) for _ in range(modulus)]
+            conv = _convolve_mod(d1, d2, modulus)
+            for target in range(modulus):
+                want = [sum(conv[target % p ** b::p ** b]) for b in range(w_exp + 1)]
+                assert _level_sums(d1, d2, target, p, 0, w_exp) == want, (p, w_exp, target)
+                lo = rng.randrange(w_exp + 1)
+                assert _level_sums(d1, d2, target, p, lo, w_exp) == want[lo:]
+
+
+def test_count_two_enumerated_blocks_match_bruteforce():
+    # the enlarged lattice of [[4]] at m = 7/8 (the dim-0 cusp job), negated:
+    # at p = 7 every coset has two one-dimensional enumerated blocks
+    core = ((-4, 1), (1, -2))
+    module = discriminant_module(EvenLattice(core))
+    assert module.order == 7
+    for j_pad in (0, 1):
+        eng = DensityEngine(core, j_pad)
+        big = [list(r) + [0] * (2 * j_pad) for r in core]
+        if j_pad:
+            big += [[0, 0, 0, 1], [0, 0, 1, 0]]
+        for index, elem in enumerate(module.elements()):
+            gamma = tuple(module.dual_vector(elem))
+            assert len(eng._plan(7, gamma)[0]) == 2
+            q = sum(gamma[i] * core[i][k] * gamma[k]
+                    for i in range(2) for k in range(2)) / 2
+            for nu in (1, 2):
+                domain = 7 ** (nu * len(big))
+                if domain > 1 << 22:
+                    continue
+                # the brute force over 7^4 points is slow: there, one n per
+                # coset, with n = 49 (target valuation nu) on the zero coset
+                ks = (1, 3, 7, 49) if domain < 7 ** 4 else ((49, 1, 2, 3, 7, 14, 98)[index],)
+                for k in ks:
+                    n = q % 1 + k
+                    want = count_solutions_bruteforce(
+                        big, 7, n, list(gamma) + [0] * 2 * j_pad, nu)
+                    assert eng.count(7, n, gamma, nu) == want, (j_pad, gamma, nu, n)
 
 
 def test_count_three_enumerated_blocks_with_pad():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weilforms.errors import (DegenerateModuleError, IndexMismatchError,
+from weilforms.errors import (DegenerateModuleError, IndexMismatchError, InputError,
                               NotInDualError)
 from weilforms.quadmod import (EvenLattice, bilinear, cyclic_module,
                                discriminant_module, dual_coset, enlarge_lattice,
@@ -38,6 +38,15 @@ def test_singular_gram_rejected():
         EvenLattice(((2, 2), (2, 2)))
     with pytest.raises(DegenerateModuleError):
         EvenLattice(((1,),))
+
+
+def test_non_integer_gram_entries_rejected():
+    # 2.5 and "2" used to be truncated to 2; numpy integers stay accepted
+    for gram in (((2.5,),), (("2",),), ((2.0,),), ((True,),),
+                 ((2, Fraction(1, 2)), (Fraction(1, 2), 2))):
+        with pytest.raises(InputError, match="must be integers"):
+            EvenLattice(gram)
+    assert EvenLattice(((np.int64(2),),)).gram == ((2,),)
 
 
 def test_qvalue_and_bilinear():
