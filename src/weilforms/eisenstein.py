@@ -151,8 +151,8 @@ def generalized_bernoulli(chi: KroneckerCharacter, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.conductor
-    support = [(a, chi(a)) for a in range(1, f + 1)]
-    sums = [sum(c * a ** m for a, c in support if c) for m in range(n + 1)]
+    support = [(a, c) for a in range(1, f + 1) if (c := chi(a))]
+    sums = [sum(c * a ** m for a, c in support) for m in range(n + 1)]
     bs = _bernoulli_list(n)
     return sum(math.comb(n, j) * bs[j] * Fraction(f) ** (j - 1) * sums[n - j]
                for j in range(n + 1))

@@ -360,7 +360,7 @@ def _convolve_mod(d1, d2, modulus):
 
 
 def _level_sums(f, g, target, p, lo, hi):
-    """S_b, b = lo ... hi, of the convolution f * g mod p^hi: folded dot products."""
+    """Level sums S_b (b = lo ... hi) at target of f * g, as folded dot products."""
     levels = []
     for b in range(hi, lo - 1, -1):
         step, t = p ** b, target % p ** b
