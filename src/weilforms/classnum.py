@@ -1,7 +1,18 @@
 """Hurwitz class numbers, Q(sqrt 5) ideals, and class-number identities.
 
+Hurwitz class numbers are kept as the integers 12·H(d): a reduced form
+(a, b, c), |b| <= a <= c with b >= 0 when |b| = a or a = c, counts 12,
+except (a, 0, a) counts 6 and (a, a, a) counts 4, and 12·H(0) = -1 (Cohen,
+Math. Ann. 217, 1975).  One enumeration of the reduced forms with
+4ac - b^2 in an interval gives every d in it at once; `HurwitzTable` grows
+one such list by doubling, and the identities sum integers read from it,
+with a single division at the end.
+
 Elements of Q(sqrt 5) are stored in doubled coordinates (x, y) meaning
-(x + y sqrt 5)/2 with x = y mod 2, so all arithmetic stays integral.
+(x + y sqrt 5)/2 with x = y mod 2, so all arithmetic stays integral.  The
+witnesses of an ideal are its generators of least positive trace in a
+residue class mod 5; `_min_trace_generator` finds them in a proven window
+of ten unit multiples (the bound is in its docstring).
 """
 
 from __future__ import annotations
@@ -12,42 +23,55 @@ from fractions import Fraction
 
 from .errors import UnsupportedModuleError, UnsupportedNormError
 
+
+def _reduced_form_counts(lo: int, hi: int) -> list:
+    """[12·H(d) for lo <= d <= hi], lo >= 1, from one pass over the reduced
+    forms (a, b, c) with lo <= 4ac - b^2 <= hi."""
+    out = [0] * (hi - lo + 1)
+    for a in range(1, math.isqrt(hi // 3) + 1):
+        step = 4 * a
+        for b in range(1 - a, a + 1):
+            bb = b * b
+            # least c >= a (c > a when b < 0) with 4ac - b^2 >= lo
+            c = -(-(lo + bb) // step)
+            if c <= a:
+                c = a + (b < 0)
+            d = step * c - bb
+            if d > hi:
+                continue
+            if c == a:
+                out[d - lo] += 4 if b == a else 6 if b == 0 else 12
+                d += step
+            for d in range(d, hi + 1, step):
+                out[d - lo] += 12
+    return out
+
+
 class HurwitzTable:
-    """Memoized Hurwitz class numbers d -> H(d)."""
+    """Hurwitz class numbers: the list `twelve_h` of 12·H(d) for
+    0 <= d < len(twelve_h), grown by doubling, and a memo of the values H(d)
+    asked for one at a time above it."""
 
     def __init__(self):
-        self.memo = {0: Fraction(-1, 12)}
+        self.twelve_h = [-1]
+        self.memo = {}
+
+    def upto(self, bound: int) -> list:
+        """The list of 12·H(d), extended to cover every d <= bound."""
+        size = len(self.twelve_h)
+        if bound >= size:
+            self.twelve_h += _reduced_form_counts(size, max(bound, 2 * size - 1))
+        return self.twelve_h
 
     def __call__(self, d: int) -> Fraction:
         d = int(d)
         if d < 0:
             return Fraction(0)
+        if d < len(self.twelve_h):
+            return Fraction(self.twelve_h[d], 12)
         if d not in self.memo:
-            self.memo[d] = self._compute(d)
+            self.memo[d] = Fraction(_reduced_form_counts(d, d)[0], 12)
         return self.memo[d]
-
-    @staticmethod
-    def _compute(d: int) -> Fraction:
-        if d % 4 in (1, 2):
-            return Fraction(0)
-        total = Fraction(0)
-        amax = math.isqrt(d // 3) if d >= 3 else 0
-        for a in range(1, amax + 1):
-            for b in range(-a + 1, a + 1):
-                if (b * b + d) % (4 * a):
-                    continue
-                c = (b * b + d) // (4 * a)
-                if c < a:
-                    continue
-                if a == c and b < 0:
-                    continue
-                if a == b == c:
-                    total += Fraction(1, 3)
-                elif b == 0 and a == c:
-                    total += Fraction(1, 2)
-                else:
-                    total += 1
-        return total
 
 
 _HURWITZ_TABLE = HurwitzTable()
@@ -57,6 +81,11 @@ def hurwitz(d: int) -> Fraction:
     """Hurwitz class number H(d): SL2(Z)-classes of positive binary forms of
     discriminant -d weighted by 2 / #automorphisms, with H(0) = -1/12."""
     return _HURWITZ_TABLE(d)
+
+
+def twelve_h(bound: int) -> list:
+    """The shared list t with t[d] = 12·H(d) for every 0 <= d <= bound."""
+    return _HURWITZ_TABLE.upto(bound)
 
 
 # -- arithmetic in Z[(1 + sqrt 5)/2] ------------------------------------------
@@ -69,11 +98,6 @@ def _mul(u, v):
     x1, y1 = u
     x2, y2 = v
     return ((x1 * x2 + 5 * y1 * y2) // 2, (x1 * y2 + x2 * y1) // 2)
-
-
-def _norm4(u) -> int:
-    """4 N(u) = x^2 - 5 y^2."""
-    return u[0] * u[0] - 5 * u[1] * u[1]
 
 
 def _hnf_key(u):
@@ -131,23 +155,35 @@ def _min_trace_generator(gen, m: int, residue: int):
     """Generator of (gen) with minimal positive trace = residue mod 5.
 
     Generators are gen times units; ties in the trace are broken by the
-    smaller |b|.
+    smaller |b|.  Write a generator v as |v| = sqrt(m) eps^t, |v'| =
+    sqrt(m) eps^-t, eps = (1 + sqrt 5)/2; multiplying by eps adds 1 to t, and
+    t >= 0 exactly when x y >= 0 (v^2 - v'^2 = x y sqrt 5).  Start from the
+    associate with t in [0, 1) and take j steps of eps.  The trace x = v + v'
+    satisfies sqrt(m)(eps^|t| - eps^-|t|) <= |x| <= sqrt(m)(eps^t + eps^-t).
+    For j = 0..3, x has the sign of v, and x -> 3x mod 5 under eps, so with
+    the sign of v positive one of them has the wanted residue and a trace
+    below sqrt(m)(eps^4 + eps^-4) = 7 sqrt(m).  For j >= 5 and j <= -6,
+    |t| >= 5 and |x| >= sqrt(m)(eps^5 - eps^-5) = 11 sqrt(m).  So the minimum,
+    ties included, lies among the ten multiples j = -5..4, with both signs.
     """
+    u = gen
+    while u[0] * u[1] < 0:
+        u = _mul(u, _EPS0)
+    while True:
+        w = _mul(u, _EPS0_INV)
+        if w[0] * w[1] < 0:
+            break
+        u = w
+    for _ in range(5):
+        u = _mul(u, _EPS0_INV)
     best = None
-    for start_sign in (gen, (-gen[0], -gen[1])):
-        u = start_sign
-        for _ in range(80):
-            u = _mul(u, _EPS0_INV)
-        for _ in range(170):
-            x, y = u
+    for _ in range(10):
+        for x, y in (u, (-u[0], -u[1])):
             if x > 0 and x % 5 == residue % 5:
                 cand = (x, abs(y), y)
                 if best is None or cand < best:
                     best = cand
-            u = _mul(u, _EPS0)
-    if best is None:
-        raise UnsupportedNormError(
-            "no generator of trace = %d mod 5 found for norm %d" % (residue, m))
+        u = _mul(u, _EPS0)
     x, _, y = best
     return Fraction(x, 2), Fraction(y, 2)
 
@@ -185,24 +221,24 @@ def _witness_sum(m: int) -> Fraction:
 
 
 def prop10_check(variant: str, n: int):
-    """Both sides of the class-number identity; returns (lhs, rhs, equal)."""
+    """Both sides of the class-number identity; returns (lhs, rhs, equal).
+
+    (i): lhs = sum_r (r + 4/5) H(4n - 5r^2 - 8r) = sum_r (5r + 4) 12H / 60;
+    (ii): lhs = sum_r (r - 2/5) H(4n - 5r^2 + 4r) = sum_r (5r - 2) 12H / 60.
+    """
     n = int(n)
-    lhs = Fraction(0)
     rbound = math.isqrt(4 * n // 5 + 4) + 3
+    rs = range(-rbound, rbound + 1)
     if variant == "i":
-        for r in range(-rbound, rbound + 1):
-            arg = 4 * n - 5 * r * r - 8 * r
-            if arg >= 0:
-                lhs += (Fraction(r) + Fraction(4, 5)) * hurwitz(arg)
+        terms = [(5 * r + 4, 4 * n - 5 * r * r - 8 * r) for r in rs]
         norm = 5 * n + 4
     elif variant == "ii":
-        for r in range(-rbound, rbound + 1):
-            arg = 4 * n - 5 * r * r + 4 * r
-            if arg >= 0:
-                lhs += (Fraction(r) - Fraction(2, 5)) * hurwitz(arg)
+        terms = [(5 * r - 2, 4 * n - 5 * r * r + 4 * r) for r in rs]
         norm = 5 * n + 1
     else:
         raise ValueError("variant must be 'i' or 'ii'")
+    t = twelve_h(4 * n + 3)
+    lhs = Fraction(sum(w * t[arg] for w, arg in terms if arg >= 0), 60)
     rhs = -Fraction(1, 150) * _witness_sum(norm)
     return lhs, rhs, lhs == rhs
 
@@ -212,26 +248,21 @@ def remark12_check(n: int):
 
     Returns (lhs1, lhs2, rhs, equal) where lhs1 runs over r = 1 mod 3,
     lhs2 over r = 2 mod 3, and rhs = eps(n) sum_{d | n} (d/3) min(d, n/d)^2
-    with eps(n) = -1 if 3 | n else 1/2.
+    with eps(n) = -1 if 3 | n else 1/2.  The divisor sum runs over the pairs
+    (d, n/d) with d <= sqrt(n).
     """
     n = int(n)
-    lhs1 = Fraction(0)
-    lhs2 = Fraction(0)
-    rbound = math.isqrt(4 * n) + 1
-    for r in range(-rbound, rbound + 1):
-        arg = 4 * n - r * r
-        if arg < 0:
-            continue
-        if r % 3 == 1:
-            lhs1 += r * hurwitz(arg)
-        elif r % 3 == 2:
-            lhs2 += r * hurwitz(arg)
-    eps = Fraction(-1) if n % 3 == 0 else Fraction(1, 2)
-    rhs = Fraction(0)
-    for d in range(1, n + 1):
+    t = twelve_h(4 * n)
+    s = math.isqrt(4 * n)
+    lhs1, lhs2 = (Fraction(sum(r * t[4 * n - r * r]
+                               for r in range(-s + (c + s) % 3, s + 1, 3)), 12)
+                  for c in (1, 2))
+    total = 0
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
-            rhs += _kronecker3(d) * min(d, n // d) ** 2
-    rhs *= eps
+            e = n // d
+            total += d * d * (_kronecker3(d) + (_kronecker3(e) if e != d else 0))
+    rhs = Fraction(-total) if n % 3 == 0 else Fraction(total, 2)
     return lhs1, lhs2, rhs, lhs1 == rhs and lhs2 == -rhs
 
 

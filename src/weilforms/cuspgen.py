@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classnum import hurwitz, unit_orbit_correction
+from .classnum import twelve_h, unit_orbit_correction
 from .dimensions import dim_antisymmetric
 from .eisenstein import (QExpansion, eisenstein_qexp, exponents_for,
                          hyperbolic_padding)
-from .errors import (ExhaustionError, IndexMismatchError, UnsupportedModuleError,
-                     UnsupportedWeightError, WrongParityError)
+from .errors import (ExhaustionError, IndexMismatchError, InputError,
+                     UnsupportedModuleError, UnsupportedWeightError,
+                     WrongParityError)
 from .quadmod import (EvenLattice, FqmElement, _mod1, cyclic_module,
                       discriminant_module, enlarge_lattice, module_dual_coset)
 
@@ -227,10 +228,12 @@ def weight3_cyclic(n_disc: int, prec) -> QExpansion:
     """The weight 3 form at index (1/N, 1/N) on the cyclic module of order N.
 
     Coefficients combine the Hurwitz class number part with the exact
-    real-quadratic unit correction.  N must be 1 mod 4; beyond the square
-    discriminants only N = 5 carries the needed ideal data.
+    real-quadratic unit correction.  N must be a positive integer = 1 mod 4;
+    beyond the square discriminants only N = 5 carries the needed ideal data.
     """
     prec = Fraction(prec)
+    if n_disc < 1:
+        raise InputError("the cyclic module needs N >= 1, got %d" % n_disc)
     if n_disc % 2 == 0 or n_disc % 4 != 1:
         raise UnsupportedModuleError("cyclic weight-3 family needs odd N = 1 mod 4")
     module, gen = cyclic_module(n_disc)
@@ -250,11 +253,21 @@ def weight3_cyclic(n_disc: int, prec) -> QExpansion:
 
 
 def _weight3_hol_part(n: Fraction, g: int, n_disc: int) -> Fraction:
-    """-6N sum over r in Z + 2g/N, N r^2 <= 4n, of r H(4n - N r^2)."""
-    total = Fraction(0)
-    for r in coset_window(Fraction(2 * g, n_disc), 4 * n / n_disc):
-        arg = 4 * n - n_disc * r * r
-        if arg.denominator != 1:
+    """-6N sum over r in Z + 2g/N, N r^2 <= 4n, of r H(4n - N r^2).
+
+    With r = R/N this is -1/2 sum over R = 2g mod N, R^2 <= 4nN, of
+    R 12H((4nN - R^2)/N), a sum of integers.
+    """
+    four_nn = 4 * n * n_disc
+    if four_nn.denominator != 1:
+        raise UnsupportedModuleError("non-integral class number argument")
+    four_nn = int(four_nn)
+    t = twelve_h(four_nn // n_disc)
+    s = math.isqrt(four_nn)
+    total = 0
+    for big_r in range(-s + (2 * g + s) % n_disc, s + 1, n_disc):
+        arg, rem = divmod(four_nn - big_r * big_r, n_disc)
+        if rem:
             raise UnsupportedModuleError("non-integral class number argument")
-        total += r * hurwitz(int(arg))
-    return -6 * n_disc * total
+        total += big_r * t[arg]
+    return Fraction(-total, 2)

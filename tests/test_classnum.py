@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from weilforms.classnum import (IdealWitness, hurwitz, ideals_of_norm_q5,
-                                prop10_check, remark12_check,
-                                unit_orbit_correction, _witness_sum)
+from weilforms.classnum import (HurwitzTable, IdealWitness, hurwitz,
+                                ideals_of_norm_q5, prop10_check, remark12_check,
+                                unit_orbit_correction, _EPS0, _EPS0_INV, _mul,
+                                _principal_generators, _witness_sum)
+from weilforms.cuspgen import coset_window
 from weilforms.errors import UnsupportedNormError
 
 
@@ -58,6 +60,59 @@ def hurwitz_oracle(d):
     return sum(Fraction(2, stabilizer_order(f)) for f in classes)
 
 
+def min_trace_generator_scan(gen, residue):
+    """Reference: scan 250 unit multiples gen eps^k, k = -80..169, of both
+    signs for the least positive trace = residue mod 5, ties by smaller |b|."""
+    best = None
+    for start_sign in (gen, (-gen[0], -gen[1])):
+        u = start_sign
+        for _ in range(80):
+            u = _mul(u, _EPS0_INV)
+        for _ in range(170):
+            x, y = u
+            if x > 0 and x % 5 == residue % 5:
+                cand = (x, abs(y), y)
+                if best is None or cand < best:
+                    best = cand
+            u = _mul(u, _EPS0)
+    x, _, y = best
+    return Fraction(x, 2), Fraction(y, 2)
+
+
+def prop10_fraction(variant, n, h):
+    """Reference: Prop. 10 accumulated in Fractions of H(d) = h(d)."""
+    lhs = Fraction(0)
+    rbound = math.isqrt(4 * n // 5 + 4) + 3
+    for r in range(-rbound, rbound + 1):
+        if variant == "i":
+            arg, weight = 4 * n - 5 * r * r - 8 * r, Fraction(r) + Fraction(4, 5)
+        else:
+            arg, weight = 4 * n - 5 * r * r + 4 * r, Fraction(r) - Fraction(2, 5)
+        if arg >= 0:
+            lhs += weight * h(arg)
+    norm = 5 * n + 4 if variant == "i" else 5 * n + 1
+    rhs = -Fraction(1, 150) * _witness_sum(norm)
+    return lhs, rhs, lhs == rhs
+
+
+def remark12_fraction(n, h):
+    """Reference: Remark 12 in Fractions, the divisor sum over every d <= n."""
+    lhs1 = lhs2 = Fraction(0)
+    rbound = math.isqrt(4 * n) + 1
+    for r in range(-rbound, rbound + 1):
+        arg = 4 * n - r * r
+        if arg >= 0 and r % 3 == 1:
+            lhs1 += r * h(arg)
+        elif arg >= 0 and r % 3 == 2:
+            lhs2 += r * h(arg)
+    rhs = Fraction(0)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            rhs += (0, 1, -1)[d % 3] * min(d, n // d) ** 2
+    rhs *= Fraction(-1) if n % 3 == 0 else Fraction(1, 2)
+    return lhs1, lhs2, rhs, lhs1 == rhs and lhs2 == -rhs
+
+
 def test_hurwitz_paper_values():
     assert hurwitz(0) == Fraction(-1, 12)
     assert hurwitz(3) == Fraction(1, 3)
@@ -83,9 +138,59 @@ def test_hurwitz_table_invariants():
         assert table.memo[d] == value
 
 
+def test_hurwitz_table_grown_in_steps():
+    stepped = HurwitzTable()
+    for bound in (10, 12, 37, 5000):
+        stepped.upto(bound)
+    assert len(stepped.twelve_h) > 5000
+    at_once = HurwitzTable().upto(5000)
+    assert stepped.twelve_h[:5001] == at_once[:5001]
+    # single values come from the enumerator on [d, d]: interval edges
+    single = HurwitzTable()
+    assert all(single(d) == Fraction(at_once[d], 12) for d in range(5001))
+    assert all(at_once[d] == 12 * hurwitz_oracle(d) for d in range(501))
+
+
 def test_hurwitz_against_oracle_small():
     for d in range(0, 120):
         assert hurwitz(d) == hurwitz_oracle(d), d
+
+
+def test_ideals_match_fixed_window_scan():
+    for m in range(1, 3001):
+        if m % 5 not in (1, 4):
+            continue
+        residues = (1, 4) if m % 5 == 4 else (2, 3)
+        expected = []
+        for gen in _principal_generators(m):
+            a, b = min_trace_generator_scan(gen, residues[0])
+            c, d = min_trace_generator_scan(gen, residues[1])
+            expected.append(IdealWitness(norm=m, a=a, b=b, c=c, d=d))
+        assert ideals_of_norm_q5(m) == expected, m
+
+
+def test_identities_match_fraction_forms():
+    h = HurwitzTable()
+    for n in range(0, 301):
+        for v in ("i", "ii"):
+            assert prop10_check(v, n) == prop10_fraction(v, n, h), (v, n)
+    for n in range(1, 1001):
+        assert remark12_check(n) == remark12_fraction(n, h), n
+
+
+def test_weight3_hol_part_matches_fraction_form():
+    from weilforms.cuspgen import _weight3_hol_part
+    h = HurwitzTable()
+    for n_disc in (5, 9, 13, 25):
+        for g in range(1, (n_disc + 1) // 2):
+            base = Fraction(g * g, n_disc) % 1
+            for k in range(12):
+                n = base + k if base + k else Fraction(1)
+                expected = -6 * n_disc * sum(
+                    (r * h(int(4 * n - n_disc * r * r))
+                     for r in coset_window(Fraction(2 * g, n_disc),
+                                           4 * n / n_disc)), Fraction(0))
+                assert _weight3_hol_part(n, g, n_disc) == expected, (n_disc, g, n)
 
 
 def test_ideals_norm_19():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -101,6 +102,23 @@ def test_weight3_command(capsys):
     assert json.loads(out)["coeffs"] == []
 
 
+def test_stdout_pinned_for_paths_the_benchmark_never_runs(capsys):
+    # SHA-256 of stdout recorded at commit 6a99a4e, with the class-number
+    # layer still in Fraction arithmetic
+    pinned = {
+        "class-identity --prop10 ii --n-max 100":
+            "145ec86371acad12b67173a50e6807cf67227d3a7711645a44b1b5e74e1056ae",
+        "weight3 --n 25 --prec 10":
+            "186a7195594cffe73f3126254fcd977331571654f9de322405e649c605220d75",
+        "--format table class-identity --remark12 --n-max 50":
+            "c5a29e5848f07b24d22ec485956fc4507d307c17b3f0ed81eaf9bd5a0cd1b9ac",
+    }
+    for argv, digest in pinned.items():
+        code, out, _ = run_cli(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_cusp_basis_command(gram_file, capsys):
     g5 = gram_file("g5.json", [[-2, -1], [-1, 2]])
     code, out, _ = run_cli(capsys, ["cusp-basis", "--gram", g5,
@@ -178,6 +196,11 @@ def test_exit_codes(gram_file, capsys, tmp_path):
                                     "--bound", "8"])
     assert code == 2
     assert json.loads(err)["error"] == "InputError"
+    # 2: a cyclic weight-3 family with N < 1
+    for n_disc in ("-3", "0"):
+        code, _, err = run_cli(capsys, ["weight3", "--n", n_disc, "--prec", "4"])
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
     # 2: a negative precision; 0 is an empty series
     g1 = gram_file("g1.json", [[-2]])
     for argv in (["eisenstein", "--gram", g1, "--weight", "5/2"],
