@@ -151,20 +151,22 @@ class IdealWitness:
     d: Fraction
 
 
-def _min_trace_generator(gen, m: int, residue: int):
+def _min_trace_generator(gen, residue: int):
     """Generator of (gen) with minimal positive trace = residue mod 5.
 
     Generators are gen times units; ties in the trace are broken by the
-    smaller |b|.  Write a generator v as |v| = sqrt(m) eps^t, |v'| =
-    sqrt(m) eps^-t, eps = (1 + sqrt 5)/2; multiplying by eps adds 1 to t, and
-    t >= 0 exactly when x y >= 0 (v^2 - v'^2 = x y sqrt 5).  Start from the
-    associate with t in [0, 1) and take j steps of eps.  The trace x = v + v'
-    satisfies sqrt(m)(eps^|t| - eps^-|t|) <= |x| <= sqrt(m)(eps^t + eps^-t).
-    For j = 0..3, x has the sign of v, and x -> 3x mod 5 under eps, so with
-    the sign of v positive one of them has the wanted residue and a trace
-    below sqrt(m)(eps^4 + eps^-4) = 7 sqrt(m).  For j >= 5 and j <= -6,
-    |t| >= 5 and |x| >= sqrt(m)(eps^5 - eps^-5) = 11 sqrt(m).  So the minimum,
-    ties included, lies among the ten multiples j = -5..4, with both signs.
+    smaller |b|.  Let m = |N(gen)|, prime to 5.  Write a generator v as
+    |v| = sqrt(m) eps^t, |v'| = sqrt(m) eps^-t, eps = (1 + sqrt 5)/2;
+    multiplying by eps adds 1 to t, and t >= 0 exactly when x y >= 0
+    (v^2 - v'^2 = x y sqrt 5).  Start from the associate with t in [0, 1)
+    and take j steps of eps.  The trace x = v + v' satisfies
+    sqrt(m)(eps^|t| - eps^-|t|) <= |x| <= sqrt(m)(eps^t + eps^-t).  For
+    j = 0..3, x has the sign of v, and x -> 3x mod 5 under eps with
+    x != 0 mod 5, so with the sign of v positive one of them has the wanted
+    residue and a trace below sqrt(m)(eps^4 + eps^-4) = 7 sqrt(m).  For
+    j >= 5 and j <= -6, |t| >= 5 and |x| >= sqrt(m)(eps^5 - eps^-5) =
+    11 sqrt(m).  So the minimum, ties included, lies among the ten multiples
+    j = -5..4, with both signs.
     """
     u = gen
     while u[0] * u[1] < 0:
@@ -205,8 +207,8 @@ def ideals_of_norm_q5(m: int):
             "no congruence regime for norms = %d mod 5" % (m % 5))
     out = []
     for gen in _principal_generators(m):
-        a, b = _min_trace_generator(gen, m, residues[0])
-        c, d = _min_trace_generator(gen, m, residues[1])
+        a, b = _min_trace_generator(gen, residues[0])
+        c, d = _min_trace_generator(gen, residues[1])
         out.append(IdealWitness(norm=m, a=a, b=b, c=c, d=d))
     return out
 
@@ -253,10 +255,14 @@ def remark12_check(n: int):
     """
     n = int(n)
     t = twelve_h(4 * n)
-    s = math.isqrt(4 * n)
-    lhs1, lhs2 = (Fraction(sum(r * t[4 * n - r * r]
-                               for r in range(-s + (c + s) % 3, s + 1, 3)), 12)
-                  for c in (1, 2))
+    s1 = s2 = 0
+    rbound = math.isqrt(4 * n)
+    for r in range(-rbound, rbound + 1):
+        if r % 3 == 1:
+            s1 += r * t[4 * n - r * r]
+        elif r % 3 == 2:
+            s2 += r * t[4 * n - r * r]
+    lhs1, lhs2 = Fraction(s1, 12), Fraction(s2, 12)
     total = 0
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:

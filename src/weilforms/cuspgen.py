@@ -255,8 +255,8 @@ def weight3_cyclic(n_disc: int, prec) -> QExpansion:
 def _weight3_hol_part(n: Fraction, g: int, n_disc: int) -> Fraction:
     """-6N sum over r in Z + 2g/N, N r^2 <= 4n, of r H(4n - N r^2).
 
-    With r = R/N this is -1/2 sum over R = 2g mod N, R^2 <= 4nN, of
-    R 12H((4nN - R^2)/N), a sum of integers.
+    With rn = r N this is -1/2 times the integer sum over rn = 2g mod N,
+    rn^2 <= 4nN, of rn 12H((4nN - rn^2)/N).
     """
     four_nn = 4 * n * n_disc
     if four_nn.denominator != 1:
@@ -265,9 +265,9 @@ def _weight3_hol_part(n: Fraction, g: int, n_disc: int) -> Fraction:
     t = twelve_h(four_nn // n_disc)
     s = math.isqrt(four_nn)
     total = 0
-    for big_r in range(-s + (2 * g + s) % n_disc, s + 1, n_disc):
-        arg, rem = divmod(four_nn - big_r * big_r, n_disc)
+    for rn in range(-s + (2 * g + s) % n_disc, s + 1, n_disc):
+        arg, rem = divmod(four_nn - rn * rn, n_disc)
         if rem:
             raise UnsupportedModuleError("non-integral class number argument")
-        total += big_r * t[arg]
+        total += rn * t[arg]
     return Fraction(-total, 2)
