@@ -7,7 +7,7 @@ from weilforms.classnum import (HurwitzTable, IdealWitness, hurwitz,
                                 ideals_of_norm_q5, prop10_check, remark12_check,
                                 unit_orbit_correction, _EPS0, _EPS0_INV, _mul,
                                 _principal_generators, _witness_sum)
-from weilforms.cuspgen import coset_window
+from weilforms.cuspgen import _weight3_hol_part, coset_window
 from weilforms.errors import UnsupportedNormError
 
 
@@ -179,7 +179,6 @@ def test_identities_match_fraction_forms():
 
 
 def test_weight3_hol_part_matches_fraction_form():
-    from weilforms.cuspgen import _weight3_hol_part
     h = HurwitzTable()
     for n_disc in (5, 9, 13, 25):
         for g in range(1, (n_disc + 1) // 2):
