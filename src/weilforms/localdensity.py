@@ -8,16 +8,18 @@ computed by counting at nu0, nu0+1, ... until two consecutive values agree.
 
 Counting never enumerates the full residue space.  The form is split into
 one- and two-dimensional p-adic blocks; p-integral shift components are
-absorbed (shifting by a p-adic integer is a bijection of residues), blocks
-with no remaining shift have closed-form value distributions constant on
-valuation classes (hyperbolic xy and norm-form x^2+xy+y^2 types, any scale),
-and fractional blocks get residue histograms: closed form for binary blocks,
-enumerated over the p^W residues only for one-dimensional blocks.
-The closed-form part is convolved on its nu + 1 class values.  The class
-measure is read off the histograms through level sums: S_b counts the
-residues t = target mod p^b of their convolution, and S_b - S_(b+1) those
-in one valuation class of target - t.  Each S_b is one dot product of two
-vectors folded to p^b; the last histogram is never multiplied out.
+absorbed (shifting by a p-adic integer is a bijection of residues).
+Unshifted binary blocks have closed-form value distributions constant on
+valuation classes (hyperbolic xy and norm-form x^2+xy+y^2 types, any
+scale), convolved on their nu + 1 class values.  Every block with a
+fractional shift is uniform on a coset c + p^g Z of Z/p^W (Hensel), and so
+is their sum, with the least step G.  Only unshifted one-dimensional blocks
+u p^k x^2 get histograms, enumerated over the p^W residues.  The level sum
+S_b counts the residues = target mod p^b of the whole convolution, and
+S_b - S_(b+1) meets one valuation class of the pad.  The coset puts
+p^-(b-G) of its mass into S_b past level G, so S_b reads the histograms'
+convolution folded to p^min(b, G) at target - c: a slice sum for one
+histogram, a dot product of two folded vectors for two.
 """
 
 from __future__ import annotations
@@ -282,10 +284,8 @@ def _truncate_measure(meas, nu_new):
     return VClassMeasure(p, nu_new, vals, zero)
 
 
-def block_measure(kind, data, p, nu):
-    """Closed-form value distribution of an unshifted block mod p^nu."""
-    if kind == "one":
-        raise ValueError("one-dimensional blocks are enumerated")
+def block_measure(data, p, nu):
+    """Closed-form value distribution of an unshifted binary block mod p^nu."""
     a, b, c = data
     e = _vp(b, p)
     det_unit = (a * c - b * b) / Fraction(p ** (2 * e))
@@ -302,7 +302,7 @@ def block_measure(kind, data, p, nu):
     return base.rescale(e)
 
 
-# -- residue histograms for fractional blocks ---------------------------------
+# -- cosets of shifted blocks, histograms of unshifted ones -------------------
 
 
 def _dist_one(coeffs, p, w_exp):
@@ -316,21 +316,34 @@ def _dist_one(coeffs, p, w_exp):
     return [int(v) for v in np.bincount(vals, minlength=modulus)]
 
 
+def _coset_one(coeffs, p, w_exp):
+    """Coset (c0 mod p^g, g) of a shifted c0 + c1 x + c2 x^2, hit p^g times.
+
+    The shift is fractional, so v_p(c2) > v_p(c1) = g and f - c0 has unit
+    derivative after dividing by p^g (Hensel); or p = 2 and v(c2) = v(c1),
+    where x (u + u' x) / 2 with u, u' odd runs over every residue (the
+    triangular numbers) and g = v(c1) + 1 <= W.  If c1 = 0 mod p^W, so is c2.
+    """
+    modulus = p ** w_exp
+    c0, c1, c2 = (_int_mod(c, modulus, p) for c in coeffs)
+    g = _vp(c1, p) if c1 else w_exp
+    if p == 2 and c2 and _vp(c2, 2) == g:
+        g += 1
+    return c0 % p ** g, g
+
+
 def _dist_two(coeffs, p, w_exp):
-    """Counts of a shifted binary quadratic mod p^W over (x, y) mod p^W.
+    """Coset (c0 mod p^g, g) of a shifted binary quadratic, hit p^(W+g) times.
 
     With g = min(v_p(c_x), v_p(c_y), W) the form is c0 + p^g (l + p q), l a
     primitive linear form, as the shift is fractional.  A map with unit
-    derivative permutes residues (Hensel): v = c0 mod p^g has p^(W+g) cells.
+    derivative permutes residues (Hensel).
     """
     modulus = p ** w_exp
     c0, cx, cy, cxx, cxy, cyy = (_int_mod(c, modulus, p) for c in coeffs)
     g = min(_vp(c, p) for c in (cx, cy, modulus) if c)
     assert g == w_exp or all(c % p ** (g + 1) == 0 for c in (cxx, cxy, cyy))
-    step = p ** g
-    counts = [0] * modulus
-    counts[c0 % step::step] = [p ** (w_exp + g)] * (modulus // step)
-    return counts
+    return c0 % p ** g, g
 
 
 def _convolve_mod(d1, d2, modulus):
@@ -437,8 +450,8 @@ class DensityEngine:
             single = VClassMeasure.hyperbolic(p, nu)
             for _ in range(self.j_pad):
                 out = out.convolve(single)
-            for kind, data in measured_blocks:
-                out = out.convolve(block_measure(kind, data, p, nu))
+            for _, data in measured_blocks:
+                out = out.convolve(block_measure(data, p, nu))
             self._measure_cache[key] = out
         return self._measure_cache[key]
 
@@ -448,35 +461,43 @@ class DensityEngine:
         self._check_dual(gamma)
         enum_polys, measured = self._plan(p, gamma)
         scale = _counting_scale(n, enum_polys, p)
-        if not enum_polys and scale > 0:
-            return 0
         mkey = tuple(sorted(str(b) for b in measured))
         pad = self._pad_measure(p, nu, mkey, measured)
-        if not enum_polys:
-            return pad.value(_int_mod(n, p ** nu, p) if nu else 0)
         w_exp = nu + scale
         modulus = p ** w_exp
         pscale = p ** scale
-        dists = []
+        # the shifted blocks sum to a coset offset + p^step Z, taken evenly
+        offset, step, dists = 0, w_exp, []
         for kind, coeffs in enum_polys:
-            key = (p, w_exp, kind, tuple(Fraction(c) * pscale for c in coeffs))
+            coeffs = tuple(Fraction(c) * pscale for c in coeffs)
+            if kind == "two" or coeffs[1]:
+                c, g = (_dist_two if kind == "two" else _coset_one)(coeffs, p, w_exp)
+                offset, step = offset + c, min(step, g)
+                continue
+            key = (p, w_exp, coeffs)
             if key not in self._dist_cache:
-                hist = _dist_one if kind == "one" else _dist_two
-                self._dist_cache[key] = hist(key[3], p, w_exp)
+                self._dist_cache[key] = _dist_one(coeffs, p, w_exp)
             dists.append(self._dist_cache[key])
         if len(dists) > 1 and modulus > _MAX_CONV:
             raise StabilizationError("convolution modulus %d too large" % modulus)
-        conv = dists[0]
-        for d in dists[1:-1]:
-            conv = _convolve_mod(conv, d, modulus)
-        target = _int_mod(n * pscale, modulus, p)
-        enum_rank = sum(1 if kind == "one" else 2 for kind, _ in enum_polys)
-        # level sums: levels[a] counts t = target mod p^(scale+a); the pad
-        # takes vals[a] where v_p(target - t) = scale + a exactly
-        if len(dists) == 1:
-            levels = [sum(conv[target % p ** b::p ** b]) for b in range(scale, w_exp + 1)]
+        # folded[k - lo]: the histograms' convolution folded to p^k, read at
+        # target - offset; with no histogram it is the point mass [1] at 0
+        t = _int_mod(n * pscale, modulus, p) - offset
+        lo = min(scale, step)
+        if len(dists) < 2:
+            hist = dists[0] if dists else [1]
+            folded = [sum(hist[t % p ** k::p ** k]) for k in range(lo, step + 1)]
         else:
-            levels = _level_sums(conv, dists[-1], target, p, scale, w_exp)
+            conv = dists[0]
+            for d in dists[1:-1]:
+                conv = _convolve_mod(conv, d, modulus)
+            folded = _level_sums(conv, dists[-1], t, p, lo, step)
+        enum_rank = sum(1 if kind == "one" else 2 for kind, _ in enum_polys)
+        mass = modulus ** (enum_rank - len(dists))
+        # levels[a] counts the residues = target mod p^(scale+a); the pad
+        # takes vals[a] where v_p(target - residue) = scale + a exactly
+        levels = [mass // p ** max(b - step, 0) * folded[min(b, step) - lo]
+                  for b in range(scale, w_exp + 1)]
         total = pad.zero_val * levels[nu] + sum(
             val * (levels[a] - levels[a + 1]) for a, val in enumerate(pad.vals))
         overcount = pscale ** enum_rank
@@ -627,26 +648,3 @@ def local_density(p, lattice, n, gamma, cache=None) -> LocalDensityRecord:
     """
     engine = DensityEngine(lattice.gram, 0, cache=cache)
     return engine.density(p, n, tuple(Fraction(x) for x in gamma))
-
-
-def count_solutions_bruteforce(gram, p, n, gamma, nu):
-    """Naive full-enumeration count, for small cross-checks only."""
-    n = Fraction(n)
-    rank = len(gram)
-    modulus = p ** nu
-    if modulus ** rank > 1 << 24:
-        raise ValueError("brute-force domain too large")
-    gamma = [Fraction(x) for x in gamma]
-    total = 0
-    import itertools
-    for x in itertools.product(range(modulus), repeat=rank):
-        q = Fraction(0)
-        for i in range(rank):
-            for j in range(rank):
-                q += (x[i] + gamma[i]) * gram[i][j] * (x[j] + gamma[j])
-        diff = q / 2 - n
-        if diff.denominator % p == 0:
-            continue
-        if diff.numerator % modulus == 0:
-            total += 1
-    return total

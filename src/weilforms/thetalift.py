@@ -36,6 +36,9 @@ class LorentzianGram:
         ell = len(s)
         if ell == 0 or any(len(row) != ell for row in s):
             raise InputError("Gram matrix must be square and nonempty")
+        if len(seed) != ell:
+            raise InputError("cone seed has %d coordinates, expected %d"
+                             % (len(seed), ell))
         for i in range(ell):
             if s[i][i] % 2:
                 raise InputError("Gram diagonal must be even")

@@ -171,6 +171,13 @@ def test_exit_codes(gram_file, capsys, tmp_path):
                                     str(form), "--weight", "5", "--bound", "8"])
     assert code == 4
     assert json.loads(err)["error"] == "PrecisionError"
+    # 2: a Hilbert index or a cone seed that does not fit a rank-1 lattice
+    for extra in (["--format", "hilbert"], ["--seed", "1,2,7"]):
+        code, _, err = run_cli(capsys, ["theta-lift", "--gram", s2, "--input",
+                                        str(form), "--weight", "5",
+                                        "--bound", "1"] + extra)
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
     # 2: a lift input that is missing or is not a q-expansion
     no_gram = tmp_path / "no_gram.json"
     no_gram.write_text(json.dumps({"weight": "5/1", "prec": "2/1",

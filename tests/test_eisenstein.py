@@ -6,6 +6,7 @@ import pytest
 import sympy
 from sympy.functions.combinatorial.numbers import kronecker_symbol as sympy_kronecker
 
+from weilforms import _linalg, localdensity
 from weilforms.eisenstein import (KroneckerCharacter, QExpansion, eisenstein_qexp,
                                   fundamental_discriminant_of,
                                   generalized_bernoulli, kronecker,
@@ -260,3 +261,89 @@ def test_parallel_map_determinism():
     seq = eisenstein_qexp(L, 3, 4)
     par = eisenstein_qexp(L, 3, 4, parallel_map=fake_pool_map)
     assert seq.coeffs == par.coeffs
+
+
+E6_CARTAN = [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
+             [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]]
+E7_CARTAN = [[2, -1, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0],
+             [0, -1, 2, -1, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0],
+             [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, 0],
+             [0, 0, -1, 0, 0, 0, 2]]
+
+
+def _dual_cosets(gram):
+    """Representatives gamma of L*/L in basis coordinates, reduced mod 1."""
+    inv = _linalg.inverse(gram)
+    order = int(abs(_linalg.det(gram)))
+    reps = set()
+    for col in range(len(gram)):
+        for k in range(order):
+            reps.add(tuple((k * inv[r][col]) % 1 for r in range(len(gram))))
+    assert len(reps) == order
+    return sorted(reps)
+
+
+def _theta_counts(gram, gamma, bound):
+    """{Q(v): #v} over v in gamma + Z^n with Q(v) = v G v / 2 < bound.
+
+    Fincke-Pohst: Q(y) = sum_i d_i (y_i + sum_(j>i) mu_ij y_j)^2, and each
+    y_i is enumerated, last index first, in the interval that the remaining
+    budget allows; every bound is exact.
+    """
+    n = len(gram)
+    a = [[Fraction(x, 2) for x in row] for row in gram]
+    d, mu = [], []
+    for i in range(n):
+        d.append(a[i][i])
+        mu.append([a[i][j] / a[i][i] for j in range(n)])
+        for j in range(i + 1, n):
+            for k in range(i + 1, n):
+                a[j][k] -= a[i][j] * a[i][k] / a[i][i]
+    counts = {}
+
+    def walk(i, y, used):
+        if i < 0:
+            counts[used] = counts.get(used, 0) + 1
+            return
+        center = -sum(mu[i][j] * y[j] for j in range(i + 1, n))
+        radius = math.isqrt(math.floor((bound - used) / d[i])) + 1
+        first = math.floor(center - gamma[i]) - radius
+        for x in range(first, first + 2 * radius + 2):
+            part = d[i] * (gamma[i] + x - center) ** 2
+            if used + part < bound:
+                y[i] = gamma[i] + x
+                walk(i - 1, y, used + part)
+
+    walk(n - 1, [0] * n, Fraction(0))
+    return counts
+
+
+@pytest.mark.parametrize("gram, weight, root_system, roots, p", [
+    (((2,),), Fraction(7, 2), E7_CARTAN, 126, 2),
+    (((2, 1), (1, 2)), 3, E6_CARTAN, 72, 3),
+])
+def test_siegel_weil_class_number_one(gram, weight, root_system, roots, p,
+                                      monkeypatch):
+    # A1 + E7 and A2 + E6 lie in E8 as orthogonal complements, so the
+    # discriminant form of E7 (E6) is that of [[2]] (A2) negated; E7 and E6
+    # have class number one, so the Eisenstein series is their theta series.
+    # Both groups are cyclic of prime order, where -Q of a nonzero element
+    # does not depend on the element: compare the series as multisets.
+    prec = 4
+    shifted = []
+    coset_one = localdensity._coset_one
+
+    def spy(coeffs, q, w_exp):
+        shifted.append(q)
+        return coset_one(coeffs, q, w_exp)
+
+    monkeypatch.setattr(localdensity, "_coset_one", spy)
+    E = eisenstein_qexp(EvenLattice(gram), weight, prec)
+    assert p in shifted
+    theta = sorted(sorted(_theta_counts(root_system, gamma, prec).items())
+                   for gamma in _dual_cosets(root_system))
+    assert theta[0][:2] == [(0, 1), (1, roots)]
+    eis = sorted(sorted((n, c) for (g, n), c in E.coeffs.items()
+                        if g == elem.coords and c)
+                 for elem in E.module.elements())
+    assert eis == theta

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,10 +7,32 @@ import pytest
 
 from weilforms.eisenstein import good_prime_local_factor
 from weilforms.localdensity import (DensityCache, DensityEngine, VClassMeasure,
-                                    _convolve_mod, _den_exp, _dist_two, _int_mod,
-                                    _level_sums, count_solutions_bruteforce,
+                                    _coset_one, _convolve_mod, _den_exp, _dist_one,
+                                    _dist_two, _int_mod, _level_sums, _vp,
                                     local_density)
 from weilforms.quadmod import EvenLattice, discriminant_module
+
+
+def count_solutions_bruteforce(gram, p, n, gamma, nu):
+    """Naive full-enumeration count, for small cross-checks only."""
+    n = Fraction(n)
+    rank = len(gram)
+    modulus = p ** nu
+    if modulus ** rank > 1 << 24:
+        raise ValueError("brute-force domain too large")
+    gamma = [Fraction(x) for x in gamma]
+    total = 0
+    for x in itertools.product(range(modulus), repeat=rank):
+        q = Fraction(0)
+        for i in range(rank):
+            for j in range(rank):
+                q += (x[i] + gamma[i]) * gram[i][j] * (x[j] + gamma[j])
+        diff = q / 2 - n
+        if diff.denominator % p == 0:
+            continue
+        if diff.numerator % modulus == 0:
+            total += 1
+    return total
 
 
 def test_spec_rank_one_density():
@@ -225,10 +248,61 @@ def _dist_two_enumerated(coeffs, p, w_exp):
     """Histogram of a two-variable quadratic mod p^W over all p^(2W) cells."""
     modulus = p ** w_exp
     c0, cx, cy, cxx, cxy, cyy = (_int_mod(c, modulus, p) for c in coeffs)
-    x = np.arange(modulus, dtype=np.int64)[:, None]
-    y = np.arange(modulus, dtype=np.int64)[None, :]
-    vals = (c0 + cx * x + cy * y + cxx * x * x + cxy * x * y + cyy * y * y) % modulus
-    return np.bincount(vals.ravel(), minlength=modulus).tolist()
+    y = np.arange(modulus, dtype=np.int64)
+    along_y = (cy * y + cyy * y * y) % modulus
+    counts = np.zeros(modulus, dtype=np.int64)
+    rows = max(1, (1 << 20) // modulus)
+    for x0 in range(0, modulus, rows):
+        x = np.arange(x0, min(x0 + rows, modulus), dtype=np.int64)[:, None]
+        vals = (c0 + cx * x + cxx * x * x + cxy * x * y + along_y) % modulus
+        counts += np.bincount(vals.ravel(), minlength=modulus)
+    return counts.tolist()
+
+
+def _expand_coset(coset, p, w_exp, rank):
+    """Histogram of a rank-`rank` block whose values fill c + p^g Z/p^W evenly."""
+    c, g = coset
+    modulus, cells = p ** w_exp, p ** (w_exp - g)
+    counts = [0] * modulus
+    counts[c::p ** g] = [modulus ** rank // cells] * cells
+    return counts
+
+
+def _shifted_one(p, rng, max_sigma=3):
+    """A block h/2 (x + s)^2, h = unit * p^e, s = unit / p^sigma."""
+    h = rng.choice((-1, 1)) * rng.choice([u for u in range(1, 4 * p) if u % p]) \
+        * p ** rng.randrange(3)
+    s = Fraction(rng.choice([u for u in range(1, p ** max_sigma) if u % p]),
+                 p ** rng.randrange(1, max_sigma + 1))
+    return (h / Fraction(2) * s * s, h * s, h / Fraction(2))
+
+
+def _shifted_two(p, rng, max_sigma=3):
+    """2^e U (x + s, y + t) / 2 with det U a unit (U even at p = 2), (s, t)
+    primitive of denominator p^sigma."""
+    while True:
+        a, b, c = (rng.randrange(-8, 9) for _ in range(3))
+        if p == 2:
+            a, b, c = 2 * a, 2 * b + 1, 2 * c
+        if (a * c - b * b) % p:
+            break
+    scale = p ** rng.randrange(4)
+    a, b, c = (Fraction(scale * x) for x in (a, b, c))
+    sigma = rng.randrange(1, max_sigma + 1)
+    while True:
+        s0, t0 = rng.randrange(p ** sigma), rng.randrange(p ** sigma)
+        if s0 % p or t0 % p:
+            break
+    s, t = Fraction(s0, p ** sigma), Fraction(t0, p ** sigma)
+    return (a / 2 * s * s + b * s * t + c / 2 * t * t, a * s + b * t,
+            b * s + c * t, a / 2, b, c / 2)
+
+
+def _scaled(coeffs, p, extra):
+    # the coefficients count() hands over: cleared of p in the denominator,
+    # with `extra` further powers of p from the other blocks or from n
+    scale = max(_den_exp(x, p) for x in coeffs) + extra
+    return tuple(x * p ** scale for x in coeffs)
 
 
 def test_dist_two_closed_form_matches_enumeration():
@@ -252,9 +326,31 @@ def test_dist_two_closed_form_matches_enumeration():
                   b * s + c * t, a / 2, b, c / 2)
         scale = max(_den_exp(x, 2) for x in coeffs) + extra
         coeffs = tuple(x * 2 ** scale for x in coeffs)
-        assert _dist_two(coeffs, 2, w_exp) == _dist_two_enumerated(coeffs, 2, w_exp), \
-            (u, e, s, t, scale, w_exp)
+        assert _expand_coset(_dist_two(coeffs, 2, w_exp), 2, w_exp, 2) \
+            == _dist_two_enumerated(coeffs, 2, w_exp), (u, e, s, t, scale, w_exp)
     assert det_classes == {3, 7}
+
+
+def test_shifted_blocks_are_uniform_cosets():
+    # every shifted block against full enumeration, at every W with
+    # p^W <= 2^12; binary blocks get fewer draws where p^(2W) is large
+    rng = random.Random(41)
+    triangular = 0
+    for p in (2, 3, 5, 7):
+        w_exp = 1
+        while p ** w_exp <= 1 << 12:
+            for _ in range(12):
+                coeffs = _scaled(_shifted_one(p, rng), p, rng.randrange(3))
+                c1, c2 = (_int_mod(c, p ** w_exp, p) for c in coeffs[1:])
+                triangular += p == 2 and c1 and c2 and _vp(c1, 2) == _vp(c2, 2)
+                assert _expand_coset(_coset_one(coeffs, p, w_exp), p, w_exp, 1) \
+                    == _dist_one(coeffs, p, w_exp), (p, w_exp, coeffs)
+            for _ in range(max(1, min(8, (1 << 16) // p ** (2 * w_exp)))):
+                coeffs = _scaled(_shifted_two(p, rng), p, rng.randrange(3))
+                assert _expand_coset(_dist_two(coeffs, p, w_exp), p, w_exp, 2) \
+                    == _dist_two_enumerated(coeffs, p, w_exp), (p, w_exp, coeffs)
+            w_exp += 1
+    assert triangular
 
 
 def test_count_binary_blocks_match_bruteforce():
@@ -281,6 +377,46 @@ def test_count_binary_blocks_match_bruteforce():
                         assert eng.count(2, n, gamma, nu) == want, \
                             (gram, j_pad, gamma, nu, n)
     assert reached
+
+
+def _padded(gram, j_pad):
+    """The core Gram matrix plus j_pad hyperbolic planes."""
+    rank = len(gram)
+    big = [list(r) + [0] * (2 * j_pad) for r in gram]
+    for t in range(j_pad):
+        for col in (rank + 2 * t + 1, rank + 2 * t):
+            row = [0] * (rank + 2 * j_pad)
+            row[col] = 1
+            big.append(row)
+    return big
+
+
+def test_count_mixed_cosets_and_histograms():
+    # (gram, j_pad, p, gamma, shifted blocks, unshifted one-dimensional ones);
+    # gamma = 1/2 on h = 2 at p = 2 is the triangular case, and the two
+    # cosets of each pair have different steps
+    configs = [
+        (((2, 0), (0, 6)), 0, 2, (Fraction(1, 2), 0), 1, 1),
+        (((2, 0), (0, 6)), 1, 3, (0, Fraction(1, 3)), 1, 1),
+        (((2, 0), (0, 16)), 1, 2, (Fraction(1, 2), Fraction(1, 4)), 2, 0),
+        (((6, 0), (0, 54)), 0, 3, (Fraction(1, 3), Fraction(1, 9)), 2, 0),
+        (((2, 0, 0), (0, 6, 0), (0, 0, -4)), 1, 2, (Fraction(1, 2), 0, 0), 1, 2),
+        (((2, 0, 0), (0, 6, 0), (0, 0, -4)), 1, 3, (0, Fraction(1, 3), 0), 1, 2),
+    ]
+    for gram, j_pad, p, gamma, cosets, hists in configs:
+        eng = DensityEngine(gram, j_pad)
+        plan = eng._plan(p, gamma)[0]
+        assert sum(k == "one" and c[1] == 0 for k, c in plan) == hists
+        assert len(plan) == cosets + hists
+        big = _padded(gram, j_pad)
+        q = sum(gamma[i] * gram[i][i] * gamma[i] for i in range(len(gram))) / 2
+        nu = 1
+        while (p ** nu) ** len(big) <= 1 << 10:
+            for k in sorted({1, 2, 3, p ** 2}):
+                n = q % 1 + k
+                want = count_solutions_bruteforce(big, p, n, list(gamma) + [0] * 2 * j_pad, nu)
+                assert eng.count(p, n, gamma, nu) == want, (gram, j_pad, p, gamma, nu, n)
+            nu += 1
 
 
 def test_density_cache_round_trip(tmp_path):
