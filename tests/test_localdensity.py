@@ -268,18 +268,18 @@ def _expand_coset(coset, p, w_exp, rank):
     return counts
 
 
-def _shifted_one(p, rng, max_sigma=3):
-    """A block h/2 (x + s)^2, h = unit * p^e, s = unit / p^sigma."""
+def _shifted_one(p, rng):
+    """A block h/2 (x + s)^2, h = unit * p^e, s = unit / p^sigma, sigma <= 3."""
     h = rng.choice((-1, 1)) * rng.choice([u for u in range(1, 4 * p) if u % p]) \
         * p ** rng.randrange(3)
-    s = Fraction(rng.choice([u for u in range(1, p ** max_sigma) if u % p]),
-                 p ** rng.randrange(1, max_sigma + 1))
+    s = Fraction(rng.choice([u for u in range(1, p ** 3) if u % p]),
+                 p ** rng.randrange(1, 4))
     return (h / Fraction(2) * s * s, h * s, h / Fraction(2))
 
 
-def _shifted_two(p, rng, max_sigma=3):
-    """2^e U (x + s, y + t) / 2 with det U a unit (U even at p = 2), (s, t)
-    primitive of denominator p^sigma."""
+def _shifted_two(p, rng):
+    """p^e U (x + s, y + t) / 2 with det U a unit (U even at p = 2), (s, t)
+    primitive of denominator p^sigma, sigma <= 3."""
     while True:
         a, b, c = (rng.randrange(-8, 9) for _ in range(3))
         if p == 2:
@@ -288,7 +288,7 @@ def _shifted_two(p, rng, max_sigma=3):
             break
     scale = p ** rng.randrange(4)
     a, b, c = (Fraction(scale * x) for x in (a, b, c))
-    sigma = rng.randrange(1, max_sigma + 1)
+    sigma = rng.randrange(1, 4)
     while True:
         s0, t0 = rng.randrange(p ** sigma), rng.randrange(p ** sigma)
         if s0 % p or t0 % p:
@@ -393,8 +393,8 @@ def _padded(gram, j_pad):
 
 def test_count_mixed_cosets_and_histograms():
     # (gram, j_pad, p, gamma, shifted blocks, unshifted one-dimensional ones);
-    # gamma = 1/2 on h = 2 at p = 2 is the triangular case, and the two
-    # cosets of each pair have different steps
+    # gamma = 1/2 on h = 2 at p = 2 is the triangular case, and where there
+    # are two cosets their steps differ
     configs = [
         (((2, 0), (0, 6)), 0, 2, (Fraction(1, 2), 0), 1, 1),
         (((2, 0), (0, 6)), 1, 3, (0, Fraction(1, 3)), 1, 1),
