@@ -482,20 +482,20 @@ class DensityEngine:
             raise StabilizationError("convolution modulus %d too large" % modulus)
         # folded[k - lo]: the histograms' convolution folded to p^k, read at
         # target - offset; with no histogram it is the point mass [1] at 0
-        t = _int_mod(n * pscale, modulus, p) - offset
+        read_at = _int_mod(n * pscale, modulus, p) - offset
         lo = min(scale, step)
         if len(dists) < 2:
             hist = dists[0] if dists else [1]
-            folded = [sum(hist[t % p ** k::p ** k]) for k in range(lo, step + 1)]
+            folded = [sum(hist[read_at % p ** k::p ** k]) for k in range(lo, step + 1)]
         else:
             conv = dists[0]
             for d in dists[1:-1]:
                 conv = _convolve_mod(conv, d, modulus)
-            folded = _level_sums(conv, dists[-1], t, p, lo, step)
+            folded = _level_sums(conv, dists[-1], read_at, p, lo, step)
         enum_rank = sum(1 if kind == "one" else 2 for kind, _ in enum_polys)
         mass = modulus ** (enum_rank - len(dists))
-        # levels[a] counts the residues = target mod p^(scale+a); the pad
-        # takes vals[a] where v_p(target - residue) = scale + a exactly
+        # levels[a]: residues = target mod p^b, b = scale + a (the coset keeps
+        # p^-(b-step) past step); the pad takes vals[a] on v_p(target - t) = b
         levels = [mass // p ** max(b - step, 0) * folded[min(b, step) - lo]
                   for b in range(scale, w_exp + 1)]
         total = pad.zero_val * levels[nu] + sum(
