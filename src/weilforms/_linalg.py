@@ -43,6 +43,33 @@ def det(mat):
     return int(prod) if prod.denominator == 1 else prod
 
 
+def inertia(mat):
+    """(n+, n-) of a symmetric matrix, by symmetric elimination in Fractions.
+
+    A congruence E A E^T keeps the inertia (Sylvester).  Each step pivots on
+    a nonzero diagonal entry; if every remaining diagonal entry is zero, row
+    and column i += row and column j put 2 a_ij on the diagonal.
+    """
+    a = [[Fraction(x) for x in row] for row in mat]
+    pos = neg = 0
+    while a:
+        n = len(a)
+        i = next((k for k in range(n) if a[k][k]), None)
+        if i is None:
+            pair = next(((k, j) for k in range(n) for j in range(n) if a[k][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        d = a[i][i]
+        pos, neg = pos + (d > 0), neg + (d < 0)
+        a = [[a[r][c] - a[r][i] * a[i][c] / d for c in range(n) if c != i]
+             for r in range(n) if r != i]
+    return pos, neg
+
+
 def inverse(mat):
     """Exact inverse as a matrix of Fractions."""
     n = len(mat)

@@ -68,8 +68,15 @@ def parse_beta(module, text: str):
     return module.element(coords)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as InputError, so main() reports them as JSON."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weilforms",
         description="Antisymmetric vector-valued cusp forms, theta lifts, "
                     "and class-number identities, in exact arithmetic.")
@@ -292,10 +299,8 @@ def _emit_lift(lift: OrthogonalExpansion, lift_format, fmt):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        out = dispatch(args)
+        out = dispatch(build_parser().parse_args(argv))
     except WeilformsError as exc:
         err = {"error": type(exc).__name__, "message": str(exc),
                "exit_code": exc.exit_code}

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (InputError, NumericInconsistencyError, PrecisionError,
                      UnsupportedWeightError)
 from .localdensity import DensityEngine
@@ -273,7 +271,7 @@ class QExpansion:
         """Value of the truncated series at tau, components in lex order."""
         elems = list(self.module.elements())
         index = {g.coords: i for i, g in enumerate(elems)}
-        out = np.zeros(max(len(elems), 1), dtype=complex)
+        out = [0j] * len(elems)
         for (g, n), v in self.coeffs.items():
             out[index[g]] += float(v) * cmath.exp(2j * cmath.pi * float(n) * tau)
         return out
@@ -491,11 +489,9 @@ def modularity_residual(f: QExpansion, tau_samples=None) -> float:
     for tau in tau_samples:
         tau = complex(tau)
         value = f.evaluate(tau)
-        s_lhs = f.evaluate(-1 / tau)
-        s_rhs = cmath.exp(k * cmath.log(tau)) * (rho_s @ value)
-        t_lhs = f.evaluate(tau + 1)
-        t_rhs = rho_t @ value
-        worst = max(worst,
-                    float(np.max(np.abs(s_lhs - s_rhs))),
-                    float(np.max(np.abs(t_lhs - t_rhs))))
+        factor = cmath.exp(k * cmath.log(tau))
+        lhs = f.evaluate(-1 / tau) + f.evaluate(tau + 1)
+        rhs = [factor * x for x in _linalg.mat_vec(rho_s, value)] \
+            + _linalg.mat_vec(rho_t, value)
+        worst = max([worst] + [abs(a - b) for a, b in zip(lhs, rhs)])
     return worst

@@ -14,7 +14,7 @@ valuation classes (hyperbolic xy and norm-form x^2+xy+y^2 types, any
 scale), convolved on their nu + 1 class values.  Every block with a
 fractional shift is uniform on a coset c + p^g Z of Z/p^W (Hensel), and so
 is their sum, with the least step G.  Only unshifted one-dimensional blocks
-u p^k x^2 get histograms, enumerated over the p^W residues.  The level sum
+u p^k x^2 get histograms, over half of the p^W residues.  The level sum
 S_b counts the residues = target mod p^b of the whole convolution, and
 S_b - S_(b+1) meets one valuation class of the pad.  The coset puts
 p^-(b-G) of its mass into S_b past level G, so S_b reads the histograms'
@@ -31,8 +31,6 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import _linalg
 from .errors import NotInDualError, StabilizationError
@@ -306,14 +304,24 @@ def block_measure(data, p, nu):
 
 
 def _dist_one(coeffs, p, w_exp):
-    """Counts of c0 + c1 x + c2 x^2 mod p^W over x mod p^W."""
+    """Counts of c2 x^2 mod p^W over x mod p^W, for an unshifted block.
+
+    Shifted blocks are cosets (`_coset_one`), so c0 = c1 = 0 here.  x and -x
+    give the same value: x = 1 ... ceil(p^W / 2) - 1 count twice, x = 0 once
+    and, for even p^W, x = p^W / 2 once.
+    """
     modulus = p ** w_exp
     if modulus > _MAX_DIST1:
         raise StabilizationError("counting modulus %d too large" % modulus)
     c0, c1, c2 = (_int_mod(c, modulus, p) for c in coeffs)
-    x = np.arange(modulus, dtype=np.int64)
-    vals = ((c2 * x % modulus) * x + c1 * x + c0) % modulus
-    return [int(v) for v in np.bincount(vals, minlength=modulus)]
+    assert c0 == c1 == 0
+    counts = [0] * modulus
+    for x in range(1, (modulus + 1) // 2):
+        counts[c2 * x * x % modulus] += 2
+    counts[0] += 1
+    if modulus % 2 == 0:
+        counts[c2 * (modulus // 2) ** 2 % modulus] += 1
+    return counts
 
 
 def _coset_one(coeffs, p, w_exp):
@@ -401,6 +409,7 @@ class DensityEngine:
         self.dets = abs(_linalg.det(self.core)) if self.core else 1
         self.cache = cache
         self._decomp = {}
+        self._plans = {}
         self._dist_cache = {}
         self._measure_cache = {}
 
@@ -418,6 +427,9 @@ class DensityEngine:
 
     def _plan(self, p, gamma):
         """Split blocks into enumerated (fractional) and closed-form parts."""
+        key = (p, tuple(gamma))
+        if key in self._plans:
+            return self._plans[key]
         blocks, binv = self._blocks(p)
         shifts = _linalg.mat_vec([list(r) for r in binv],
                                  [Fraction(x) for x in gamma]) if self.core else []
@@ -441,6 +453,7 @@ class DensityEngine:
                                                a * s + b * t, b * s + c * t,
                                                a / 2, b, c / 2)))
                 pos += 2
+        self._plans[key] = enum_polys, measured
         return enum_polys, measured
 
     def _pad_measure(self, p, nu, measured_key, measured_blocks):

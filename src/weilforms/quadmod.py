@@ -1,8 +1,9 @@
 """Even lattices, their discriminant groups, and the dual Weil representation.
 
 All bookkeeping is exact: Gram matrices are integer matrices, dual vectors
-and values of the quadratic form are Fractions.  Only signature detection
-and the Weil matrices themselves use floating point.
+and values of the quadratic form are Fractions.  The signature mod 8 is the
+exact inertia n+ - n- of the Gram matrix (Milgram's formula); only the Weil
+matrices themselves are complex floats.
 """
 
 from __future__ import annotations
@@ -14,13 +15,9 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _linalg
 from .errors import (DegenerateModuleError, IndexMismatchError, InputError,
-                     NotInDualError, NumericInconsistencyError)
-
-SIGNATURE_TOLERANCE = 1e-6
+                     NotInDualError)
 
 
 def _e(x):
@@ -106,47 +103,31 @@ class FiniteQuadraticModule:
     def __init__(self, lattice: EvenLattice):
         self.lattice = lattice
         n = lattice.rank
-        if n == 0:
-            self.generator_orders = ()
-            self.to_dual = ()
-            self._vinv = ()
-            self._all_orders = ()
-            self._kept = ()
-            self.q_matrix = ()
-        else:
-            d, u, v = _linalg.smith_normal_form(lattice.gram)
-            kept = tuple(i for i in range(n) if d[i] > 1)
-            cols = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in range(n)]
-            vmat = [list(row) for row in v]
-            for i in kept:
-                w = tuple(_mod1(x) for x in cols[i])
-                wneg = tuple(_mod1(-x) for x in cols[i])
-                if wneg > w:
-                    for r in range(n):
-                        cols[i][r] = -cols[i][r]
-                        vmat[r][i] = -vmat[r][i]
-            self._all_orders = tuple(d)
-            self._kept = kept
-            self.generator_orders = tuple(d[i] for i in kept)
-            self.to_dual = tuple(tuple(cols[i]) for i in kept)
-            vinv = _linalg.inverse(vmat)
-            self._vinv = tuple(tuple(x for x in row) for row in vinv)
-            qm = []
-            for a, wa in enumerate(self.to_dual):
-                row = []
-                for b, wb in enumerate(self.to_dual):
-                    if a == b:
-                        row.append(_mod1(lattice.qvalue(wa)))
-                    else:
-                        row.append(_mod1(lattice.pairing(wa, wb)))
-                qm.append(tuple(row))
-            self.q_matrix = tuple(qm)
-        self.order = 1
-        for d_i in self.generator_orders:
-            self.order *= d_i
+        d, u, v = _linalg.smith_normal_form(lattice.gram)
+        kept = tuple(i for i in range(n) if d[i] > 1)
+        cols = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in range(n)]
+        vmat = [list(row) for row in v]
+        for i in kept:
+            w = tuple(_mod1(x) for x in cols[i])
+            wneg = tuple(_mod1(-x) for x in cols[i])
+            if wneg > w:
+                for r in range(n):
+                    cols[i][r] = -cols[i][r]
+                    vmat[r][i] = -vmat[r][i]
+        self._all_orders = tuple(d)
+        self._kept = kept
+        self.generator_orders = tuple(d[i] for i in kept)
+        self.to_dual = tuple(tuple(cols[i]) for i in kept)
+        self._vinv = tuple(map(tuple, _linalg.inverse(vmat)))
+        self.q_matrix = tuple(
+            tuple(_mod1(lattice.qvalue(wa) if a == b else lattice.pairing(wa, wb))
+                  for b, wb in enumerate(self.to_dual))
+            for a, wa in enumerate(self.to_dual))
+        self.order = math.prod(self.generator_orders)
         if self.order != abs(lattice.det()):
             raise DegenerateModuleError("group order does not match |det|")
-        self.signature_mod8 = self._milgram_signature()
+        pos, neg = _linalg.inertia(lattice.gram)
+        self.signature_mod8 = (pos - neg) % 8
 
     # -- elements ----------------------------------------------------------
 
@@ -212,20 +193,6 @@ class FiniteQuadraticModule:
     def bilinear(self, a: FqmElement, b: FqmElement) -> Fraction:
         return _mod1(self.qvalue(self.add(a, b)) - self.qvalue(a) - self.qvalue(b))
 
-    def _milgram_signature(self) -> int:
-        total = 0j
-        for gamma in self.elements():
-            total += _e(self.qvalue(gamma))
-        modulus = abs(total)
-        if abs(modulus - math.sqrt(self.order)) > SIGNATURE_TOLERANCE * self.order:
-            raise DegenerateModuleError("Gauss sum modulus violates nondegeneracy")
-        phase = cmath.phase(total) / (2 * math.pi) * 8
-        nearest = round(phase)
-        if abs(phase - nearest) > 1e-3:
-            raise NumericInconsistencyError(
-                "Gauss sum phase %r is not close to a multiple of 1/8" % phase)
-        return nearest % 8
-
     def __eq__(self, other):
         return (isinstance(other, FiniteQuadraticModule)
                 and self.lattice.gram == other.lattice.gram)
@@ -255,17 +222,15 @@ def signature(module: FiniteQuadraticModule) -> int:
 
 
 def weil_matrices(module: FiniteQuadraticModule):
-    """Matrices of rho*(S) and rho*(T) in the basis e_gamma, lex order."""
+    """Matrices of rho*(S) and rho*(T) in the basis e_gamma, lex order.
+
+    Lists of rows of complex numbers; rho*(T) is diagonal.
+    """
     elems = list(module.elements())
-    n = len(elems)
-    rho_t = np.zeros((n, n), dtype=complex)
-    for i, g in enumerate(elems):
-        rho_t[i, i] = _e(-module.qvalue(g))
-    rho_s = np.zeros((n, n), dtype=complex)
+    rho_t = [[_e(-module.qvalue(g)) if i == j else 0j for j in range(len(elems))]
+             for i, g in enumerate(elems)]
     phase = _e(Fraction(module.signature_mod8, 8)) / math.sqrt(module.order)
-    for j, g in enumerate(elems):
-        for i, b in enumerate(elems):
-            rho_s[i, j] = phase * _e(module.bilinear(g, b))
+    rho_s = [[phase * _e(module.bilinear(g, b)) for g in elems] for b in elems]
     return rho_s, rho_t
 
 
@@ -295,8 +260,7 @@ def enlarge_lattice(lattice: EvenLattice, m: Fraction, beta) -> EvenLattice:
 
 def dual_coset(lattice: EvenLattice, v) -> FqmElement:
     """Canonical coordinates of v + L in the discriminant group."""
-    module = discriminant_module(lattice)
-    return module_dual_coset(module, v)
+    return module_dual_coset(discriminant_module(lattice), v)
 
 
 def module_dual_coset(module: FiniteQuadraticModule, v) -> FqmElement:
@@ -306,8 +270,6 @@ def module_dual_coset(module: FiniteQuadraticModule, v) -> FqmElement:
         raise NotInDualError("wrong vector length")
     if not lat.in_dual(v):
         raise NotInDualError("vector does not pair integrally with the lattice")
-    if lat.rank == 0:
-        return module.zero()
     t = _linalg.mat_vec([list(r) for r in module._vinv], v)
     coords = []
     for i in module._kept:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import _linalg
 from .errors import InputError, MismatchError, PrecisionError
 from .eisenstein import QExpansion, _frs, factorize
@@ -47,8 +45,7 @@ class LorentzianGram:
                     raise InputError("Gram matrix must be symmetric")
         if _linalg.det(s) == 0:
             raise InputError("Gram matrix is singular")
-        eigs = np.linalg.eigvalsh(np.array(s, dtype=float))
-        if sum(1 for e in eigs if e > 0) != 1:
+        if _linalg.inertia(s)[0] != 1:
             raise InputError("signature must be (1, l-1)")
         if self.qvalue(seed) <= 0:
             raise InputError("cone seed must have positive norm")

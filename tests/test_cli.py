@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -235,6 +237,26 @@ def test_exit_codes(gram_file, capsys, tmp_path):
                                         "--bound", "8"])
         assert code == 2
         assert json.loads(err)["error"] == "InputError"
+    # 2: arguments argparse rejects ("-1/8" reads as an option); --help exits 0
+    for argv in (["r-series", "--gram", g2, "--weight", "11/2", "--m", "-1/8",
+                  "--beta", "3", "--prec", "2"],
+                 ["hurwitz", "--d", "x"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+    with pytest.raises(SystemExit) as exc:
+        main(["hurwitz", "--help"])
+    assert exc.value.code == 0
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import weilforms, weilforms.cli, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=os.path.normpath(src)),
+        capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
 
 
 def test_cache_cold_and_warm_identical(gram_file, capsys, tmp_path):

@@ -244,6 +244,16 @@ def test_count_three_enumerated_blocks_with_pad():
                 assert eng.count(p, n, gamma, nu) == want, (gamma, p, nu, n)
 
 
+def _dist_one_enumerated(coeffs, p, w_exp):
+    """Histogram of c0 + c1 x + c2 x^2 mod p^W over all p^W residues."""
+    modulus = p ** w_exp
+    c0, c1, c2 = (_int_mod(c, modulus, p) for c in coeffs)
+    counts = [0] * modulus
+    for x in range(modulus):
+        counts[(c0 + c1 * x + c2 * x * x) % modulus] += 1
+    return counts
+
+
 def _dist_two_enumerated(coeffs, p, w_exp):
     """Histogram of a two-variable quadratic mod p^W over all p^(2W) cells."""
     modulus = p ** w_exp
@@ -331,6 +341,23 @@ def test_dist_two_closed_form_matches_enumeration():
     assert det_classes == {3, 7}
 
 
+def test_dist_one_matches_enumeration():
+    # unshifted blocks c2 x^2, v_p(c2) = 0 ... 3, at every W with p^W <= 2^12;
+    # odd p also gets the unit denominator 2 of h / 2
+    rng = random.Random(43)
+    for p in (2, 3, 5, 7):
+        units = [u for u in range(1, 4 * p) if u % p]
+        w_exp = 1
+        while p ** w_exp <= 1 << 12:
+            for k in range(4):
+                for den in (1, 2) if p > 2 else (1,):
+                    c2 = Fraction(rng.choice((-1, 1)) * rng.choice(units) * p ** k, den)
+                    coeffs = (Fraction(0), Fraction(0), c2)
+                    assert _dist_one(coeffs, p, w_exp) \
+                        == _dist_one_enumerated(coeffs, p, w_exp), (p, w_exp, c2)
+            w_exp += 1
+
+
 def test_shifted_blocks_are_uniform_cosets():
     # every shifted block against full enumeration, at every W with
     # p^W <= 2^12; binary blocks get fewer draws where p^(2W) is large
@@ -344,7 +371,7 @@ def test_shifted_blocks_are_uniform_cosets():
                 c1, c2 = (_int_mod(c, p ** w_exp, p) for c in coeffs[1:])
                 triangular += p == 2 and c1 and c2 and _vp(c1, 2) == _vp(c2, 2)
                 assert _expand_coset(_coset_one(coeffs, p, w_exp), p, w_exp, 1) \
-                    == _dist_one(coeffs, p, w_exp), (p, w_exp, coeffs)
+                    == _dist_one_enumerated(coeffs, p, w_exp), (p, w_exp, coeffs)
             for _ in range(max(1, min(8, (1 << 16) // p ** (2 * w_exp)))):
                 coeffs = _scaled(_shifted_two(p, rng), p, rng.randrange(3))
                 assert _expand_coset(_dist_two(coeffs, p, w_exp), p, w_exp, 2) \

@@ -69,7 +69,7 @@ def test_signature_examples():
 
 def test_weil_matrices_trivial():
     A = discriminant_module(EvenLattice(()))
-    s, t = weil_matrices(A)
+    s, t = map(np.array, weil_matrices(A))
     assert s.shape == (1, 1) and t.shape == (1, 1)
     assert abs(s[0, 0] - 1) < 1e-12 and abs(t[0, 0] - 1) < 1e-12
 
@@ -77,7 +77,7 @@ def test_weil_matrices_trivial():
 @pytest.mark.parametrize("gram", [((2, 1), (1, -2)), ((-4,),), ((2, 0), (0, 6))])
 def test_weil_matrix_relations(gram):
     A = discriminant_module(EvenLattice(gram))
-    s, t = weil_matrices(A)
+    s, t = map(np.array, weil_matrices(A))
     n = s.shape[0]
     # unitarity
     assert np.max(np.abs(s @ s.conj().T - np.eye(n))) < 1e-12
@@ -104,6 +104,46 @@ def test_milgram_modulus_random_modules():
                             math.sin(2 * math.pi * float(A.qvalue(g))))
                     for g in A.elements())
         assert abs(abs(total) - math.sqrt(A.order)) < 1e-6
+
+
+def _gauss_sum_signature(A):
+    """sig mod 8 from the phase of sum e(Q(gamma)) = sqrt|A| e(sig / 8)."""
+    total = sum(complex(math.cos(2 * math.pi * float(A.qvalue(g))),
+                        math.sin(2 * math.pi * float(A.qvalue(g))))
+                for g in A.elements())
+    assert abs(abs(total) - math.sqrt(A.order)) < 1e-6
+    phase = math.atan2(total.imag, total.real) / (2 * math.pi) * 8
+    assert abs(phase - round(phase)) < 1e-6
+    return round(phase) % 8
+
+
+def _random_even_gram(rng, rank, max_det):
+    while True:
+        g = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            g[i][i] = 2 * rng.randrange(-3, 4)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randrange(-2, 3)
+        det = round(np.linalg.det(np.array(g, dtype=float))) if rank else 1
+        if det and abs(det) <= max_det:
+            return tuple(map(tuple, g))
+
+
+def test_signature_matches_gauss_sum_random_lattices():
+    # the exact inertia against the float Gauss-sum phase (Milgram); the
+    # fixed grams have zero diagonals, which need the congruence step
+    rng = random.Random(17)
+    kinds = {"definite": 0, "indefinite": 0}
+    fixed = [((0, 1), (1, 0)), ((0, 3), (3, 0)), ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+             ((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 0, 3), (0, 0, 3, 0))]
+    for k in range(320):
+        gram = fixed[k] if k < len(fixed) else \
+            _random_even_gram(rng, rng.randrange(5), 200)
+        eigs = np.linalg.eigvalsh(np.array(gram, dtype=float)) if gram else []
+        kinds["definite" if len({e > 0 for e in eigs}) < 2 else "indefinite"] += 1
+        A = discriminant_module(EvenLattice(gram))
+        assert A.signature_mod8 == _gauss_sum_signature(A), gram
+    assert min(kinds.values()) >= 80, kinds
 
 
 def test_enlarge_lattice_rank_zero():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,48 @@ def test_lorentzian_gram_validation():
         LorentzianGram(((-4,),), (1,))
     with pytest.raises(InputError):
         LorentzianGram(((2, 1), (1, -2)), (0, 1))  # negative-norm seed
+
+
+def _conjugated(diag, rng):
+    """U^T diag U for a random unimodular U, and U^-1 e_0 of norm diag[0].
+
+    U^T diag U has the signature of diag and an even diagonal.
+    """
+    n = len(diag)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    gram = tuple(tuple(sum(u[k][i] * diag[k] * u[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+    return gram, tuple(row[0] for row in inv)
+
+
+def test_lorentzian_gram_signature():
+    # (1, l-1) is accepted and every other nondegenerate signature rejected;
+    # hyperbolic planes U have zero diagonal
+    rng = random.Random(3)
+    hyp = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    cases = [(((0, 1), (1, 0)), (1, 1), True),
+             (((0, 1, 0), (1, 0, 0), (0, 0, -2)), (1, 1, 0), True),
+             (((0, 1, 0), (1, 0, 0), (0, 0, 2)), (1, 1, 0), False),
+             (hyp, (1, 1, 0, 0), False)]
+    for ell in range(1, 5):
+        for n_pos in range(ell + 1):
+            for _ in range(4):
+                diag = [2 * rng.randrange(1, 4) for _ in range(n_pos)] \
+                    + [-2 * rng.randrange(1, 4) for _ in range(ell - n_pos)]
+                cases.append(_conjugated(diag, rng) + (n_pos == 1,))
+    for gram, seed, lorentzian in cases:
+        if lorentzian:
+            assert LorentzianGram(gram, seed).s == gram
+        else:
+            with pytest.raises(InputError, match="signature"):
+                LorentzianGram(gram, seed)
 
 
 def test_shimura_lift_golden():
