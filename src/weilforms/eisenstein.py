@@ -268,7 +268,7 @@ class QExpansion:
         return sorted(items)
 
     def evaluate(self, tau: complex):
-        """Value of the truncated series at tau, components in lex order."""
+        """Value of the truncated series at tau: a list, components in lex order."""
         elems = list(self.module.elements())
         index = {g.coords: i for i, g in enumerate(elems)}
         out = [0j] * len(elems)
