@@ -238,9 +238,6 @@ class QExpansion:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
 
-    def support(self):
-        return sorted((g, n) for (g, n), v in self.coeffs.items() if v)
-
     def __add__(self, other):
         if self.module != other.module or self.weight != other.weight:
             raise ValueError("incompatible expansions")

@@ -1,10 +1,11 @@
-"""p-adic representation densities by stabilized counting.
+"""p-adic representation densities, counted once at a proven exponent.
 
 The density of an even lattice M at p is
 
     lim_nu  p^(-nu(rank-1)) #{x in M/p^nu M : Q(x + gamma) = n mod p^nu},
 
-computed by counting at nu0, nu0+1, ... until two consecutive values agree.
+reached at the exponent nu* that `DensityEngine.density` proves from the
+largest Smith divisor of the Gram matrix (Hensel): one count per density.
 
 Counting never enumerates the full residue space.  The form is split into
 one- and two-dimensional p-adic blocks; p-integral shift components are
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -37,10 +37,9 @@ from .errors import NotInDualError, StabilizationError
 
 CACHE_ENV_VAR = "WEILFORMS_CACHE_DIR"
 CACHE_DEFAULT = ".weilforms-cache"
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 _MAX_DIST1 = 1 << 18      # largest modulus for a one-variable histogram
-_MAX_DIST2 = 1 << 13      # largest counting modulus with a shifted binary block
 _MAX_CONV = 1 << 15       # largest modulus when histograms must be convolved
 
 
@@ -311,8 +310,6 @@ def _dist_one(coeffs, p, w_exp):
     and, for even p^W, x = p^W / 2 once.
     """
     modulus = p ** w_exp
-    if modulus > _MAX_DIST1:
-        raise StabilizationError("counting modulus %d too large" % modulus)
     c0, c1, c2 = (_int_mod(c, modulus, p) for c in coeffs)
     assert c0 == c1 == 0
     counts = [0] * modulus
@@ -406,7 +403,6 @@ class DensityEngine:
         self.core = tuple(tuple(int(x) for x in row) for row in core_gram)
         self.j_pad = int(j_pad)
         self.rank = len(self.core) + 2 * self.j_pad
-        self.dets = abs(_linalg.det(self.core)) if self.core else 1
         self.cache = cache
         self._decomp = {}
         self._plans = {}
@@ -479,6 +475,12 @@ class DensityEngine:
         w_exp = nu + scale
         modulus = p ** w_exp
         pscale = p ** scale
+        hists = sum(kind == "one" and not cs[1] for kind, cs in enum_polys)
+        cap = _MAX_CONV if hists > 1 else _MAX_DIST1
+        if hists and modulus > cap:
+            raise StabilizationError(
+                "counting at p=%d, nu=%d needs modulus %d, above the cap %d"
+                % (p, nu, modulus, cap))
         # the shifted blocks sum to a coset offset + p^step Z, taken evenly
         offset, step, dists = 0, w_exp, []
         for kind, coeffs in enum_polys:
@@ -491,8 +493,6 @@ class DensityEngine:
             if key not in self._dist_cache:
                 self._dist_cache[key] = _dist_one(coeffs, p, w_exp)
             dists.append(self._dist_cache[key])
-        if len(dists) > 1 and modulus > _MAX_CONV:
-            raise StabilizationError("convolution modulus %d too large" % modulus)
         # folded[k - lo]: the histograms' convolution folded to p^k, read at
         # target - offset; with no histogram it is the point mass [1] at 0
         read_at = _int_mod(n * pscale, modulus, p) - offset
@@ -517,31 +517,21 @@ class DensityEngine:
         assert total % overcount == 0
         return total // overcount
 
-    def max_feasible_exponent(self, p, gamma, n):
-        """Largest nu the counting caps allow for this configuration.
-
-        Unbounded when no block is enumerated: class measures are convolved
-        in closed form at any modulus.
-        """
-        enum_polys, _ = self._plan(p, gamma)
-        if not enum_polys:
-            return math.inf
-        scale = _counting_scale(n, enum_polys, p)
-        cap = _MAX_CONV if len(enum_polys) > 1 else _MAX_DIST1
-        if any(kind == "two" for kind, _ in enum_polys):
-            cap = min(cap, _MAX_DIST2)
-        w_max = 0
-        while p ** (w_max + 1) <= cap:
-            w_max += 1
-        return w_max - scale
-
     def density(self, p, n, gamma):
-        """Stabilized local density with its witness exponent.
+        """Local density at p, from one count at nu* (`stabilized_at`).
 
-        Counting starts at the conservative exponent
-        nu0 = v_p(4 den(n) num(4 n det) det) + 3 and requires agreement of
-        two consecutive values; if the counting caps make nu0 unreachable the
-        start is lowered and three consecutive agreements are required.
+        Write Q(y) = y.Gy / 2 on the padded lattice, y = x + gamma with
+        Q(y) = n mod p^nu.  Let p^k be the largest Smith divisor of G, read
+        off the core's blocks (the pads are unimodular; k = 0 for no core).
+        Gy is integral (gamma is dual) and y = G^-1 Gy, so v_p(y) >= m - k
+        with m = v_p(Gy).  Once nu > v_p(n), y.Gy = 2 Q(y) has valuation
+        v_p(2n), so 2m - k <= v_p(2n).  With Gy = p^m u, u primitive, and
+        nu >= 2m + 1: Q(y + p^(nu-m) w) = Q(y) + p^nu w.u mod p^(nu+1), as
+        Q(w) is integral on an even lattice (at p = 2 too).  So the solutions
+        mod p^nu are unions of cosets mod p^(nu-m), and a fraction 1/p of the
+        lifts of each coset solve mod p^(nu+1): count(nu+1) =
+        p^(rank-1) count(nu).  Hence nu* = max(1, v_p(2n) + k + 1); at p = 2
+        it takes one level more, a margin the argument does not need.
         """
         n = Fraction(n)
         gamma = tuple(Fraction(x) for x in gamma)
@@ -551,45 +541,19 @@ class DensityEngine:
             hit = self.cache.get(cache_key)
             if hit is not None:
                 return hit
-        four_n_det = 4 * n * self.dets
-        nu0 = _vp(4 * n.denominator * abs(four_n_det.numerator) * self.dets, p) + 3
-        needed = 2
-        nu_max = self.max_feasible_exponent(p, gamma, n)
-        if nu0 + 1 > nu_max:
-            nu0 = nu_max - 2
-            needed = 3
-            if nu0 < 1:
-                raise StabilizationError(
-                    "no feasible counting exponent at p=%d" % p)
-        streak = 0
-        prev = None
-        record = None
-        first_nu = None
-        for nu in range(nu0, min(nu0 + 9, nu_max + 1)):
-            cnt = self.count(p, n, gamma, nu)
-            val = Fraction(cnt, p ** (nu * (self.rank - 1)))
-            if prev is not None and val == prev:
-                streak += 1
-                if first_nu is None:
-                    first_nu = nu - 1
-                if streak >= needed - 1:
-                    record = LocalDensityRecord(prime=p, stabilized_at=first_nu,
-                                                value=val)
-                    break
-            else:
-                streak = 0
-                first_nu = None
-            prev = val
-        if record is None:
-            raise StabilizationError(
-                "local density did not stabilize at p=%d by nu=%d" % (p, nu0 + 8))
+        blocks, _ = self._blocks(p)
+        k = max((_vp(data if kind == "one" else data[1], p) for kind, data in blocks),
+                default=0)
+        nu = max(1, _vp(2 * n, p) + k + 1) + (p == 2)
+        value = Fraction(self.count(p, n, gamma, nu), p ** (nu * (self.rank - 1)))
+        record = LocalDensityRecord(prime=p, stabilized_at=nu, value=value)
         if self.cache is not None:
             self.cache.put(cache_key, record)
         return record
 
 
 class DensityCache:
-    """On-disk memo for stabilized densities, keyed by content hash."""
+    """On-disk memo for local densities, keyed by content hash."""
 
     def __init__(self, directory=None):
         if directory is None:
@@ -654,7 +618,7 @@ class DensityCache:
 
 
 def local_density(p, lattice, n, gamma, cache=None) -> LocalDensityRecord:
-    """Stabilized local density of an even lattice at p.
+    """Local density of an even lattice at p.
 
     `gamma` is a dual vector in basis coordinates; `n` a positive rational
     with n + Q(gamma) integral.

@@ -85,9 +85,6 @@ class OrthogonalExpansion:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def height(self, r) -> Fraction:
         return self.gram.pairing(r, self.gram.cone_seed)
 

@@ -142,15 +142,19 @@ def test_generalized_bernoulli_examples():
                 assert generalized_bernoulli(chi, n) == 0
 
 
+def _bernoulli_poly(r):
+    """Coefficients of the Bernoulli polynomial B_r(x), lowest degree first."""
+    x = sympy.Symbol("x")
+    return [Fraction(int(c.p), int(c.q))
+            for c in sympy.Poly(sympy.bernoulli(r, x), x).all_coeffs()[::-1]]
+
+
 def test_generalized_bernoulli_against_sympy():
     # B_{k,chi} = f^(k-1) sum_(a <= f) chi(a) B_k(a/f), with sympy's Bernoulli
     # polynomials and Kronecker symbol as the oracle, on every fundamental
     # discriminant |D| <= 400; the polynomial is evaluated homogenized,
     # f^k B_k(a/f) = sum_i c_i a^i f^(k-i), in exact integers
-    x = sympy.Symbol("x")
-    polys = {k: [Fraction(int(c.p), int(c.q))
-                 for c in sympy.Poly(sympy.bernoulli(k, x), x).all_coeffs()[::-1]]
-             for k in range(1, 7)}
+    polys = {k: _bernoulli_poly(k) for k in range(1, 7)}
     discs = [d for d in range(-400, 401)
              if d and fundamental_discriminant_of(Fraction(d)) == d]
     assert len(discs) == 243
@@ -347,3 +351,76 @@ def test_siegel_weil_class_number_one(gram, weight, root_system, roots, p,
                         if g == elem.coords and c)
                  for elem in E.module.elements())
     assert eis == theta
+
+
+def _cohen_h(r, big_n):
+    """Cohen's H(r, N) from sympy alone, for N > 0 and (-1)^r N = D f^2 with D
+    a fundamental discriminant (0 when N is not of that form):
+
+        H(r, N) = L(1 - r, chi_D) sum_(d | f) mu(d) chi_D(d) d^(r-1) sigma_(2r-1)(f / d),
+
+    with L(1 - r, chi_D) = -B_(r, chi_D) / r and B_(r, chi) = |D|^(r-1)
+    sum_(a <= |D|) chi(a) B_r(a / |D|).
+    """
+    disc = (-1) ** r * big_n
+    f = 1
+    for q, e in sympy.factorint(abs(disc)).items():
+        f *= q ** (e // 2)
+    while True:
+        d0 = disc // (f * f)
+        if d0 % 4 == 1 or (d0 % 4 == 0 and d0 // 4 % 4 in (2, 3)):
+            break
+        if f % 2:
+            return Fraction(0)
+        f //= 2
+    fd = abs(d0)
+    poly = _bernoulli_poly(r)
+    bern = fd ** (r - 1) * sum(int(sympy_kronecker(d0, a))
+                               * sum(c * Fraction(a, fd) ** i for i, c in enumerate(poly))
+                               for a in range(1, fd + 1))
+    return -bern / r * sum(int(sympy.mobius(d)) * int(sympy_kronecker(d0, d)) * d ** (r - 1)
+                           * int(sympy.divisor_sigma(f // d, 2 * r - 1))
+                           for d in sympy.divisors(f))
+
+
+@pytest.mark.parametrize("gram, weight", [
+    (((-2,),), Fraction(5, 2)), (((-2,),), Fraction(9, 2)), (((-2,),), Fraction(13, 2)),
+    (((2,),), Fraction(7, 2)), (((2,),), Fraction(11, 2)),
+])
+def test_cohen_numbers(gram, weight):
+    # rank 1 at every weight 5/2 ... 13/2: the coefficient at (gamma, n) is
+    # H(r, 4n) / zeta(1 - 2r), r = weight - 1/2 (Cohen, Math. Ann. 217, 1975)
+    prec = 40
+    r = int(weight - Fraction(1, 2))
+    zeta = -_bernoulli_poly(2 * r)[0] / (2 * r)
+    E = eisenstein_qexp(EvenLattice(gram), weight, prec)
+    nonzero = 0
+    for gamma in E.module.elements():
+        n = -E.module.qvalue(gamma) % 1
+        if n == 0:
+            assert E.coefficient(gamma, 0) == 1
+            n += 1
+        while n < prec:
+            want = _cohen_h(r, int(4 * n)) / zeta
+            assert E.coefficient(gamma, n) == want, (gram, weight, gamma.coords, n)
+            nonzero += want != 0
+            n += 1
+    assert nonzero >= 70
+
+
+E8_CARTAN = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+             [0, -1, 2, -1, 0, 0, 0, 0], [0, 0, -1, 2, -1, 0, 0, 0],
+             [0, 0, 0, -1, 2, -1, 0, -1], [0, 0, 0, 0, -1, 2, -1, 0],
+             [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, 0, 0, -1, 0, 0, 2]]
+
+
+def test_e8_gives_e4():
+    # -E8 at weight 4: the engine counts on the unimodular core E8 at p = 2
+    # (no padding), and the series is E_4
+    gram = tuple(tuple(-x for x in row) for row in E8_CARTAN)
+    assert _linalg.det(E8_CARTAN) == 1
+    E = eisenstein_qexp(EvenLattice(gram), 4, 6)
+    zero = E.module.zero()
+    assert E.coefficient(zero, 0) == 1
+    for n in range(1, 6):
+        assert E.coefficient(zero, n) == 240 * sigma(n, 3)

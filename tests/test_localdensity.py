@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weilforms import _linalg, localdensity
 from weilforms.eisenstein import good_prime_local_factor
-from weilforms.localdensity import (DensityCache, DensityEngine, VClassMeasure,
-                                    _coset_one, _convolve_mod, _den_exp, _dist_one,
-                                    _dist_two, _int_mod, _level_sums, _vp,
+from weilforms.errors import StabilizationError
+from weilforms.localdensity import (CACHE_SCHEMA, DensityCache, DensityEngine,
+                                    VClassMeasure, _coset_one, _convolve_mod, _den_exp,
+                                    _dist_one, _dist_two, _int_mod, _level_sums, _vp,
                                     local_density)
 from weilforms.quadmod import EvenLattice, discriminant_module
 
@@ -33,6 +35,91 @@ def count_solutions_bruteforce(gram, p, n, gamma, nu):
         if diff.numerator % modulus == 0:
             total += 1
     return total
+
+
+def density_by_agreement(eng, p, n, gamma):
+    """The agreement search that `density` replaced, kept as an oracle.
+
+    Counts at nu0 = v_p(4 den(n) num(4 n det) det) + 3, nu0 + 1, ... and
+    returns the first value that equals its predecessor; None when no two
+    agree by nu0 + 8 or a count exceeds the caps.  (The search lowered nu0
+    and asked for three agreements where the caps made nu0 unreachable;
+    that branch is not kept.)
+    """
+    n = Fraction(n)
+    dets = abs(_linalg.det(eng.core)) if eng.core else 1
+    nu0 = _vp(4 * n.denominator * abs((4 * n * dets).numerator) * dets, p) + 3
+    prev = None
+    for nu in range(nu0, nu0 + 9):
+        try:
+            val = Fraction(eng.count(p, n, gamma, nu), p ** (nu * (eng.rank - 1)))
+        except StabilizationError:
+            return None
+        if val == prev:
+            return val
+        prev = val
+    return None
+
+
+def _random_dual_case(rng):
+    """A random nondegenerate even core of rank 1-4, padding 0-2, a prime
+    p <= 7 (mostly one dividing 2 det), gamma in the dual and an n with
+    n - Q(gamma) integral, up to p^3 times a small integer."""
+    while True:
+        rank = rng.choice((1, 1, 2, 2, 3, 4))
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = 2 * rng.choice([x for x in range(-4, 5) if x])
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randrange(-2, 3)
+        det = _linalg.det(gram)
+        if det and abs(det) <= 200:
+            break
+    bad = [q for q in (2, 3, 5, 7) if (2 * det) % q == 0]
+    p = rng.choice(bad) if rng.random() < 0.8 else rng.choice((2, 3, 5, 7))
+    inv = _linalg.inverse(gram)
+    v = [rng.randrange(abs(det)) for _ in range(rank)]
+    gamma = tuple(x % 1 for x in _linalg.mat_vec(inv, v))
+    q = sum(gamma[i] * gram[i][k] * gamma[k] for i in range(rank) for k in range(rank)) / 2
+    n = q % 1 + rng.randrange(1, 5) * p ** rng.randrange(4)
+    return tuple(map(tuple, gram)), rng.randrange(3), p, n, gamma
+
+
+def test_density_at_proven_exponent_fuzz(monkeypatch):
+    # one count at nu* gives the density: it equals the agreement oracle
+    # wherever that finishes, and with the caps raised
+    # count(nu* + 1) = p^(rank - 1) count(nu*)
+    rng = random.Random(29)
+    calls = []
+    count = DensityEngine.count
+    monkeypatch.setattr(DensityEngine, "count",
+                        lambda self, *args: calls.append(args) or count(self, *args))
+    agreed = 0
+    for _ in range(300):
+        gram, j_pad, p, n, gamma = _random_dual_case(rng)
+        eng = DensityEngine(gram, j_pad)
+        calls.clear()
+        rec = eng.density(p, n, gamma)
+        assert len(calls) == 1
+        want = density_by_agreement(eng, p, n, gamma)
+        if want is not None:
+            assert rec.value == want, (gram, j_pad, p, n, gamma)
+            agreed += 1
+        with monkeypatch.context() as m:
+            m.setattr(localdensity, "_MAX_DIST1", 1 << 30)
+            m.setattr(localdensity, "_MAX_CONV", 1 << 30)
+            nu = rec.stabilized_at
+            c0, c1 = (eng.count(p, n, gamma, nu + i) for i in (0, 1))
+        assert c1 == p ** (eng.rank - 1) * c0, (gram, j_pad, p, n, gamma, nu)
+        assert rec.value == Fraction(c0, p ** (nu * (eng.rank - 1)))
+    assert agreed >= 250
+
+
+def test_density_beyond_the_agreement_caps():
+    # the agreement search raised "did not stabilize at p=7 by nu=11" here;
+    # the count is 2 / 7^nu at nu = 5, 6 and 7 with the caps lifted
+    rec = DensityEngine([[6, 2], [2, -4]], 0).density(7, 3773, (0, 0))
+    assert rec.value == 2 and rec.stabilized_at == 5
 
 
 def test_spec_rank_one_density():
@@ -75,7 +162,7 @@ def test_good_prime_closed_form_random():
         det_core = _linalg.det([list(r) for r in core]) if core else 1
         det_m = det_core * (-1) ** j
         p = rng.choice([3, 5, 7, 11])
-        if (2 * eng.dets) % p == 0:
+        if (2 * det_core) % p == 0:
             continue
         n = Fraction(rng.randrange(1, 40))
         scale = rng.random()
@@ -463,10 +550,10 @@ def test_density_cache_round_trip(tmp_path):
     rec3 = eng3.density(2, Fraction(1), (Fraction(0), Fraction(0)))
     assert rec3.value == rec1.value
     # entries of the wrong shape are misses: recomputed and rewritten
+    head = '{"schema": %d, "p": 2, "stabilized_at": 1, ' % CACHE_SCHEMA
     for bad in ('[1, 2]', '{"schema": 1, "p": 2}', '"text"',
-                '{"schema": 1, "p": 2, "stabilized_at": 1, "value": "7"}',
-                '{"schema": 1, "p": 2, "stabilized_at": 1, "value": "1/0"}',
-                '{"schema": 1, "p": 2, "stabilized_at": 1, "value": 7}'):
+                '{"schema": 1, "p": 2, "stabilized_at": 1, "value": "7/1"}',
+                head + '"value": "7"}', head + '"value": "1/0"}', head + '"value": 7}'):
         path.write_text(bad)
         eng4 = DensityEngine(((2, 1), (1, -2)), 1,
                              cache=DensityCache(str(tmp_path / "cache")))
