@@ -7,30 +7,29 @@ forms, and Hurwitz class number identities.
 
 from .classnum import (HurwitzTable, IdealWitness, hurwitz, ideals_of_norm_q5,
                        prop10_check, remark12_check, unit_orbit_correction)
-from .cuspgen import (CuspIndex, JacobiCoefficientView, cusp_basis,
-                      jacobi_coefficients, r_series, weight3_cyclic)
+from .cuspgen import (CuspIndex, cusp_basis, jacobi_coefficients, r_series,
+                      weight3_cyclic)
 from .dimensions import DimensionReport, dim_antisymmetric, gauss_sum, sawtooth
 from .eisenstein import (QExpansion, eisenstein_qexp, generalized_bernoulli,
                          KroneckerCharacter, modularity_residual)
 from .errors import WeilformsError
 from .localdensity import DensityCache, LocalDensityRecord, local_density
-from .quadmod import (EvenLattice, FiniteQuadraticModule, FqmElement, bilinear,
+from .quadmod import (EvenLattice, FiniteQuadraticModule, FqmElement,
                       cyclic_module, discriminant_module, dual_coset,
-                      enlarge_lattice, qvalue, signature, weil_matrices)
+                      enlarge_lattice, weil_matrices)
 from .thetalift import (LorentzianGram, OrthogonalExpansion, doi_naganuma,
                         theta_lift)
 
 __all__ = [
     "CuspIndex", "DensityCache", "DimensionReport", "EvenLattice", "HurwitzTable",
-    "JacobiCoefficientView", "jacobi_coefficients",
-    "FiniteQuadraticModule", "FqmElement", "IdealWitness",
+    "FiniteQuadraticModule", "FqmElement", "IdealWitness", "jacobi_coefficients",
     "KroneckerCharacter", "LocalDensityRecord", "LorentzianGram",
-    "OrthogonalExpansion", "QExpansion", "WeilformsError", "bilinear",
+    "OrthogonalExpansion", "QExpansion", "WeilformsError",
     "cusp_basis", "cyclic_module", "dim_antisymmetric", "discriminant_module",
     "doi_naganuma", "dual_coset", "eisenstein_qexp", "enlarge_lattice",
     "gauss_sum", "generalized_bernoulli", "hurwitz", "ideals_of_norm_q5",
-    "local_density", "modularity_residual", "prop10_check", "qvalue",
-    "r_series", "remark12_check", "sawtooth", "signature", "theta_lift",
+    "local_density", "modularity_residual", "prop10_check",
+    "r_series", "remark12_check", "sawtooth", "theta_lift",
     "unit_orbit_correction", "weight3_cyclic", "weil_matrices",
 ]
 

@@ -4,8 +4,9 @@ The cusp form attached to an index (m, beta) is assembled from the
 Eisenstein series of the enlarged lattice: the coefficient of q^n e_gamma
 is (1/2m) times the sum over r in Z - <gamma, beta> with r^2 <= 4mn of
 r times the enlarged-lattice Eisenstein coefficient at exponent n - r^2/4m
-and coset (gamma - (r/2m) beta, r/2m).  Spanning sets iterate indices until
-the exact coefficient rank reaches the dimension of the cusp space.
+and coset (gamma - (r/2m) beta, r/2m), which is affine in r.  Spanning sets
+iterate indices until the exact coefficient rank reaches the dimension of
+the cusp space, and keep the series they ranked.
 """
 
 from __future__ import annotations
@@ -34,34 +35,29 @@ class CuspIndex:
         object.__setattr__(self, "m", Fraction(self.m))
 
 
-@dataclass(frozen=True)
-class JacobiCoefficientView:
-    """One term of the inner r-sum: the two-variable coefficient c(n, r, gamma)
-    read off the enlarged lattice at exponent n - r^2/4m and its coset."""
+def jacobi_coefficients(module, idx: CuspIndex, gamma: FqmElement, n, eis):
+    """The terms (r, c) of the coefficient of q^n e_gamma, r ascending.
 
-    n: Fraction
-    r: Fraction
-    gamma: FqmElement
-    value: Fraction
-
-
-def jacobi_coefficients(module, idx: CuspIndex, gamma: FqmElement, n, eis,
-                        beta_vec=None):
-    """The finitely many views entering the coefficient of q^n e_gamma."""
+    c is the enlarged-lattice coefficient at exponent n - r^2/4m and coset
+    w(r) = (gamma, 0) + r delta, delta = (-beta/2m, 1/2m).  The enlarged
+    Gram matrix maps delta to the last unit vector, so delta is dual and
+    w(r) = w(r0) + (r - r0) delta with r - r0 an integer.  Coset coordinates
+    are linear mod the generator orders, so two `module_dual_coset` calls,
+    for w(r0) and delta, give the coset of every term.
+    """
     n = Fraction(n)
     m = idx.m
-    beta_vec = beta_vec if beta_vec is not None else module.dual_vector(idx.beta)
-    gamma_vec = module.dual_vector(gamma)
     emod = eis.module
-    out = []
+    delta = tuple(-bv / (2 * m) for bv in module.dual_vector(idx.beta)) + (1 / (2 * m),)
     r0 = _mod1(-module.bilinear(gamma, idx.beta))
+    base = module_dual_coset(emod, tuple(
+        gv + r0 * dv for gv, dv in zip(module.dual_vector(gamma) + (0,), delta)))
+    step = module_dual_coset(emod, delta).coords
+    out = []
     for r in coset_window(r0, 4 * m * n):
-        w_vec = tuple(gv - (r / (2 * m)) * bv
-                      for gv, bv in zip(gamma_vec, beta_vec)) + (r / (2 * m),)
-        w = module_dual_coset(emod, w_vec)
-        out.append(JacobiCoefficientView(
-            n=n, r=r, gamma=gamma,
-            value=eis.coefficient(w, n - r * r / (4 * m))))
+        k = int(r - r0)
+        w = emod.element(tuple(a + k * d for a, d in zip(base.coords, step)))
+        out.append((r, eis.coefficient(w, n - r * r / (4 * m))))
     return out
 
 
@@ -92,7 +88,7 @@ def _validate_index(module, idx: CuspIndex):
 
 
 def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
-             cache=None, parallel_map=None, _eis=None) -> QExpansion:
+             cache=None, parallel_map=None) -> QExpansion:
     """The antisymmetric cusp form attached to (m, beta), exact coefficients."""
     weight = Fraction(weight)
     prec = Fraction(prec)
@@ -105,22 +101,20 @@ def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
     if weight < 4:
         raise UnsupportedWeightError("the Eisenstein route needs weight >= 4")
     m = idx.m
-    beta_vec = module.dual_vector(idx.beta)
-    enlarged = enlarge_lattice(lattice, m, beta_vec)
+    enlarged = enlarge_lattice(lattice, m, module.dual_vector(idx.beta))
     eis_weight = weight - Fraction(3, 2)
     hyperbolic_padding(enlarged, eis_weight)
     reps = [g for g in module.orbit_reps() if not module.is_self_negative(g)]
     if not reps:
         # every element is its own negative: no coefficient reads the series
         return QExpansion(module, weight, prec, {})
-    eis = _eis if _eis is not None else eisenstein_qexp(
-        enlarged, eis_weight, prec, cache=cache, parallel_map=parallel_map)
+    eis = eisenstein_qexp(enlarged, eis_weight, prec, cache=cache,
+                          parallel_map=parallel_map)
     coeffs = {}
     for gamma in reps:
         for n in exponents_for(module, gamma, prec):
-            views = jacobi_coefficients(module, idx, gamma, n, eis,
-                                        beta_vec=beta_vec)
-            total = sum((v.r * v.value for v in views), Fraction(0)) / (2 * m)
+            terms = jacobi_coefficients(module, idx, gamma, n, eis)
+            total = sum((r * c for r, c in terms), Fraction(0)) / (2 * m)
             if total:
                 neg = module.neg(gamma)
                 coeffs[(gamma.coords, n)] = total
@@ -176,17 +170,18 @@ def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None,
     Iterates indices until the exact coefficient rank reaches the cusp-space
     dimension; retries once with doubled working precision and a larger
     index cutoff before raising ExhaustionError.  Truncation can only lower
-    the rank, so stopping at the target dimension is rigorous.
+    the rank, so stopping at the target dimension is rigorous.  Up to the
+    working precision the ranked series are returned, truncated: a
+    coefficient at n reads only Eisenstein coefficients at exponents <= n,
+    whose values do not depend on the precision.
     """
     weight = Fraction(weight)
     module = discriminant_module(lattice)
-    report = dim_antisymmetric(module, weight)
-    target = report.dim_s
+    target = dim_antisymmetric(module, weight).dim_s
     if target == 0:
         return []
     work_prec = Fraction(math.ceil(weight / 12) + 2)
     m_cutoff = Fraction(target + 3)
-    picked = None
     for _ in range(2):
         picked = _cusp_basis_attempt(lattice, module, weight, target, work_prec,
                                      m_cutoff, cache, parallel_map)
@@ -194,14 +189,19 @@ def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None,
             break
         work_prec *= 2
         m_cutoff += 2
-    if picked is None:
+    else:
         raise ExhaustionError(
             "rank %d not reached for weight %s (cutoff m <= %s, prec %s)"
             % (target, weight, m_cutoff, work_prec))
     out_prec = Fraction(prec) if prec is not None else work_prec
+    if out_prec <= work_prec:
+        return [(idx, QExpansion(module, weight, out_prec,
+                                 {key: c for key, c in series.coeffs.items()
+                                  if key[1] < out_prec}))
+                for idx, series in picked]
     return [(idx, r_series(lattice, weight, idx, out_prec, cache=cache,
                            parallel_map=parallel_map))
-            for idx in picked]
+            for idx, _ in picked]
 
 
 def _cusp_basis_attempt(lattice, module, weight, target, work_prec, m_cutoff,
@@ -218,7 +218,7 @@ def _cusp_basis_attempt(lattice, module, weight, target, work_prec, m_cutoff,
         series = r_series(lattice, weight, idx, work_prec, cache=cache,
                           parallel_map=parallel_map)
         if acc.add([series.coefficient(g, n) for (g, n) in keys]):
-            picked.append(idx)
+            picked.append((idx, series))
         if acc.rank == target:
             return picked
     return None

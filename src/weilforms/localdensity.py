@@ -37,7 +37,7 @@ from .errors import NotInDualError, StabilizationError
 
 CACHE_ENV_VAR = "WEILFORMS_CACHE_DIR"
 CACHE_DEFAULT = ".weilforms-cache"
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 _MAX_DIST1 = 1 << 18      # largest modulus for a one-variable histogram
 _MAX_CONV = 1 << 15       # largest modulus when histograms must be convolved
@@ -530,8 +530,8 @@ class DensityEngine:
         Q(w) is integral on an even lattice (at p = 2 too).  So the solutions
         mod p^nu are unions of cosets mod p^(nu-m), and a fraction 1/p of the
         lifts of each coset solve mod p^(nu+1): count(nu+1) =
-        p^(rank-1) count(nu).  Hence nu* = max(1, v_p(2n) + k + 1); at p = 2
-        it takes one level more, a margin the argument does not need.
+        p^(rank-1) count(nu).  Hence nu* = max(1, v_p(2n) + k + 1), at p = 2
+        as at odd p.
         """
         n = Fraction(n)
         gamma = tuple(Fraction(x) for x in gamma)
@@ -544,7 +544,7 @@ class DensityEngine:
         blocks, _ = self._blocks(p)
         k = max((_vp(data if kind == "one" else data[1], p) for kind, data in blocks),
                 default=0)
-        nu = max(1, _vp(2 * n, p) + k + 1) + (p == 2)
+        nu = max(1, _vp(2 * n, p) + k + 1)
         value = Fraction(self.count(p, n, gamma, nu), p ** (nu * (self.rank - 1)))
         record = LocalDensityRecord(prime=p, stabilized_at=nu, value=value)
         if self.cache is not None:

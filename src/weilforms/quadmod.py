@@ -209,18 +209,6 @@ def discriminant_module(lattice: EvenLattice) -> FiniteQuadraticModule:
     return FiniteQuadraticModule(lattice)
 
 
-def qvalue(module: FiniteQuadraticModule, gamma: FqmElement) -> Fraction:
-    return module.qvalue(gamma)
-
-
-def bilinear(module: FiniteQuadraticModule, a: FqmElement, b: FqmElement) -> Fraction:
-    return module.bilinear(a, b)
-
-
-def signature(module: FiniteQuadraticModule) -> int:
-    return module.signature_mod8
-
-
 def weil_matrices(module: FiniteQuadraticModule):
     """Matrices of rho*(S) and rho*(T) in the basis e_gamma, lex order.
 

@@ -231,12 +231,6 @@ def hilbert_gram(disc: int) -> LorentzianGram:
     return LorentzianGram(((2, 1), (1, (1 - disc) // 2)), (1, 0))
 
 
-def conjugate_key(r):
-    """Galois conjugation on dual coordinates: r1 + r2 w -> r1 + r2 w'."""
-    r1, r2 = (Fraction(x) for x in r)
-    return (r1 + r2, -r2)
-
-
 def hilbert_index(r) -> str:
     """The key as an element of the real quadratic field, r1 + r2 w."""
     r1, r2 = (Fraction(x) for x in r)

@@ -16,9 +16,10 @@ from weilforms.dimensions import dim_antisymmetric
 from weilforms.eisenstein import eisenstein_qexp, modularity_residual
 from weilforms.quadmod import (EvenLattice, cyclic_module, discriminant_module,
                                module_dual_coset)
-from weilforms.thetalift import LorentzianGram, conjugate_key, doi_naganuma, theta_lift
+from weilforms.thetalift import LorentzianGram, doi_naganuma, theta_lift
 
 from test_classnum import hurwitz_oracle
+from test_thetalift import conjugate_key
 
 
 def report(cid, ok, detail=""):

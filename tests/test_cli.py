@@ -104,10 +104,22 @@ def test_weight3_command(capsys):
     assert json.loads(out)["coeffs"] == []
 
 
-def test_stdout_pinned_for_paths_the_benchmark_never_runs(capsys):
+def test_stdout_pinned_for_paths_the_benchmark_never_runs(gram_file, capsys):
     # SHA-256 of stdout recorded at commit 6a99a4e, with the class-number
-    # layer still in Fraction arithmetic
+    # layer still in Fraction arithmetic; the cusp-basis ones at 6892454,
+    # when every picked series was computed a second time
+    m12 = gram_file("m12.json", [[-12]])
+    b8 = gram_file("b8.json", [[2, 1], [1, -8]])
+    m6 = gram_file("m6.json", [[-6]])
     pinned = {
+        "cusp-basis --gram %s --weight 15/2" % m12:
+            "a8d7f485d5c5f577e1ee60b3fa828981283f5b8787b846cb6af96c1e500c08f1",
+        "cusp-basis --gram %s --weight 5" % b8:
+            "169b19a3a7e2f62348ad2703c88b78e0fefa5f6a913ffd1f00f72ba880a315b0",
+        "cusp-basis --gram %s --weight 19/2" % m6:
+            "c38e0e564e6229f2de5d2d8b9c6d59169208caae1c4465f81aec7e152f92205f",
+        "cusp-basis --gram %s --weight 15/2 --prec 2" % m12:
+            "46bcd480328639259a7147dbcee6b216e1b518a19cf871eaf0f4b26a665a33dc",
         "class-identity --prop10 ii --n-max 100":
             "145ec86371acad12b67173a50e6807cf67227d3a7711645a44b1b5e74e1056ae",
         "weight3 --n 25 --prec 10":

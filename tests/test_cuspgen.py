@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from weilforms.cuspgen import (CuspIndex, coset_window, cusp_basis, r_series,
+from weilforms import _linalg
+from weilforms.cuspgen import (CuspIndex, candidate_indices, coset_window,
+                               cusp_basis, jacobi_coefficients, r_series,
                                weight3_cyclic)
-from weilforms.eisenstein import modularity_residual
+from weilforms.eisenstein import exponents_for, modularity_residual
 from weilforms.errors import (UnsupportedModuleError, UnsupportedWeightError,
                               WrongParityError)
-from weilforms.quadmod import EvenLattice, discriminant_module, module_dual_coset
+from weilforms.quadmod import (EvenLattice, _mod1, discriminant_module,
+                               enlarge_lattice, module_dual_coset)
 
 
 def n2_form(prec):
@@ -120,9 +124,7 @@ def test_weight3_cyclic_errors():
 
 
 def test_jacobi_coefficient_views():
-    from weilforms.cuspgen import jacobi_coefficients
     from weilforms.eisenstein import eisenstein_qexp
-    from weilforms.quadmod import enlarge_lattice, _mod1
     L = EvenLattice(((-4,),))
     A = discriminant_module(L)
     beta = A.element((3,))
@@ -131,15 +133,14 @@ def test_jacobi_coefficient_views():
     eis = eisenstein_qexp(enlarged, 4, 4)
     gamma = A.element((1,))
     n = Fraction(9, 8)
-    views = jacobi_coefficients(A, idx, gamma, n, eis)
+    terms = jacobi_coefficients(A, idx, gamma, n, eis)
     pairing = A.bilinear(gamma, beta)
-    for v in views:
-        assert _mod1(Fraction(v.r) + pairing) == 0     # r in Z - <gamma, beta>
-        assert v.r * v.r <= 4 * idx.m * n
-        assert v.n == n and v.gamma == gamma
+    for r, _ in terms:
+        assert _mod1(Fraction(r) + pairing) == 0     # r in Z - <gamma, beta>
+        assert r * r <= 4 * idx.m * n
     # the regrouped sum reproduces the series coefficient
     f = r_series(L, Fraction(11, 2), idx, 4)
-    total = sum(v.r * v.value for v in views) / (2 * idx.m)
+    total = sum(r * c for r, c in terms) / (2 * idx.m)
     assert total == f.coefficient(gamma, n) == -237
 
 
@@ -165,3 +166,110 @@ def test_all_two_torsion_r_series_reads_no_series(monkeypatch):
     zero = discriminant_module(L6).zero()
     with pytest.raises(UnsupportedWeightError, match="not reachable from rank 7"):
         r_series(L6, 4, CuspIndex(1, zero), 3)
+
+
+def jacobi_terms_per_r(module, idx, gamma, n, eis):
+    """The r-sum read one coset at a time: a `module_dual_coset` call per r."""
+    n = Fraction(n)
+    m = idx.m
+    beta_vec = module.dual_vector(idx.beta)
+    gamma_vec = module.dual_vector(gamma)
+    out = []
+    r0 = _mod1(-module.bilinear(gamma, idx.beta))
+    for r in coset_window(r0, 4 * m * n):
+        w_vec = tuple(gv - (r / (2 * m)) * bv
+                      for gv, bv in zip(gamma_vec, beta_vec)) + (r / (2 * m),)
+        w = module_dual_coset(eis.module, w_vec)
+        out.append((r, eis.coefficient(w, n - r * r / (4 * m))))
+    return out
+
+
+class _CosetEcho:
+    """Stands in for the enlarged series: each coefficient names its coset
+    and exponent, so equal terms mean equal cosets, not equal values."""
+
+    def __init__(self, module):
+        self.module = module
+
+    def coefficient(self, w, e):
+        return (w.coords, e)
+
+
+# the Gram matrices of the benchmark's cusp_cold jobs
+BENCH_CUSP_GRAMS = [((-4,),), ((-6,),), ((2, 1), (1, 2)), ((-2, -1), (-1, -2)),
+                    ((-2, -1), (-1, 2)), ((2, 1), (1, -2)), ((2,),), ((4,),),
+                    ((6,),)]
+
+
+def test_affine_r_sum_matches_per_r_cosets():
+    rng = random.Random(20261020)
+    grams = list(BENCH_CUSP_GRAMS)
+    while len(grams) < 40:
+        rank = rng.choice([1, 2, 2, 3])
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = 2 * rng.choice([-5, -4, -3, -2, -1, 1, 2, 3])
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randrange(-2, 3)
+        if _linalg.det(gram) != 0:
+            grams.append(tuple(map(tuple, gram)))
+    draws = 0
+    for gram in grams:
+        L = EvenLattice(gram)
+        A = discriminant_module(L)
+        indices = candidate_indices(A, Fraction(4))
+        for idx in rng.sample(indices, min(3, len(indices))):
+            enlarged = enlarge_lattice(L, idx.m, A.dual_vector(idx.beta))
+            eis = _CosetEcho(discriminant_module(enlarged))
+            for gamma in rng.sample(list(A.elements()), min(4, A.order)):
+                for n in exponents_for(A, gamma, rng.randrange(1, 6)):
+                    terms = jacobi_coefficients(A, idx, gamma, n, eis)
+                    assert terms == jacobi_terms_per_r(A, idx, gamma, n, eis)
+                    draws += 1
+    assert draws > 500
+
+
+def _count_series(monkeypatch):
+    """Record the (enlarged Gram, prec) of every Eisenstein series built, and
+    the number of candidate series ranked."""
+    import weilforms.cuspgen as cuspgen
+    built, ranked = [], []
+    qexp, add = cuspgen.eisenstein_qexp, cuspgen._RankAccumulator.add
+
+    def counted_qexp(lattice, weight, prec, **kwargs):
+        built.append((lattice.gram, prec))
+        return qexp(lattice, weight, prec, **kwargs)
+
+    def counted_add(self, row):
+        ranked.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(cuspgen, "eisenstein_qexp", counted_qexp)
+    monkeypatch.setattr(cuspgen._RankAccumulator, "add", counted_add)
+    return built, ranked
+
+
+def test_cusp_basis_builds_each_series_once(monkeypatch):
+    L = EvenLattice(((-12,),))
+    weight = Fraction(15, 2)
+    built, ranked = _count_series(monkeypatch)
+    basis = cusp_basis(L, weight)
+    assert len(basis) >= 2 and len(built) == len(ranked)
+    assert len(set(built)) == len(built)
+    work_prec = built[0][1]
+    # below the working precision the ranked series are truncated, not rebuilt
+    del built[:], ranked[:]
+    short = cusp_basis(L, weight, prec=work_prec - 1)
+    assert len(built) == len(ranked)
+    # above it, each picked index is built once more, at the asked precision
+    del built[:], ranked[:]
+    long = cusp_basis(L, weight, prec=work_prec + 1)
+    assert len(built) == len(ranked) + len(long)
+    assert len(set(built[:len(ranked)])) == len(ranked)
+    assert all(prec == work_prec + 1 for _, prec in built[len(ranked):])
+    for (idx, f), (idx_s, g), (idx_l, h) in zip(basis, short, long):
+        assert idx == idx_s == idx_l
+        assert g.prec == work_prec - 1 and h.prec == work_prec + 1
+        # truncation is exact: the longer series agree below each precision
+        assert g.coeffs == {k: c for k, c in f.coeffs.items() if k[1] < g.prec}
+        assert f.coeffs == {k: c for k, c in h.coeffs.items() if k[1] < f.prec}

@@ -553,6 +553,7 @@ def test_density_cache_round_trip(tmp_path):
     head = '{"schema": %d, "p": 2, "stabilized_at": 1, ' % CACHE_SCHEMA
     for bad in ('[1, 2]', '{"schema": 1, "p": 2}', '"text"',
                 '{"schema": 1, "p": 2, "stabilized_at": 1, "value": "7/1"}',
+                '{"schema": 2, "p": 2, "stabilized_at": 1, "value": "7/1"}',
                 head + '"value": "7"}', head + '"value": "1/0"}', head + '"value": 7}'):
         path.write_text(bad)
         eng4 = DensityEngine(((2, 1), (1, -2)), 1,

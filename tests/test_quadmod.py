@@ -7,9 +7,8 @@ import pytest
 
 from weilforms.errors import (DegenerateModuleError, IndexMismatchError, InputError,
                               NotInDualError)
-from weilforms.quadmod import (EvenLattice, bilinear, cyclic_module,
-                               discriminant_module, dual_coset, enlarge_lattice,
-                               module_dual_coset, qvalue, signature,
+from weilforms.quadmod import (EvenLattice, cyclic_module, discriminant_module,
+                               dual_coset, enlarge_lattice, module_dual_coset,
                                weil_matrices)
 
 
@@ -17,7 +16,7 @@ def test_discriminant_module_rank_one():
     A = discriminant_module(EvenLattice(((2,),)))
     assert A.generator_orders == (2,)
     gen = A.element((1,))
-    assert qvalue(A, gen) == Fraction(1, 4)
+    assert A.qvalue(gen) == Fraction(1, 4)
 
 
 def test_discriminant_module_d5():
@@ -51,20 +50,20 @@ def test_non_integer_gram_entries_rejected():
 
 def test_qvalue_and_bilinear():
     A = discriminant_module(EvenLattice(((2,),)))
-    assert qvalue(A, A.zero()) == 0
+    assert A.qvalue(A.zero()) == 0
     gen = A.element((1,))
-    assert qvalue(A, gen) == Fraction(1, 4)
+    assert A.qvalue(gen) == Fraction(1, 4)
     B = discriminant_module(EvenLattice(((2, 1), (1, 4))))
     for gamma in B.elements():
-        assert bilinear(B, gamma, gamma) == (2 * qvalue(B, gamma)) % 1
-        assert qvalue(B, B.neg(gamma)) == qvalue(B, gamma)
+        assert B.bilinear(gamma, gamma) == (2 * B.qvalue(gamma)) % 1
+        assert B.qvalue(B.neg(gamma)) == B.qvalue(gamma)
 
 
 def test_signature_examples():
-    assert signature(discriminant_module(EvenLattice(()))) == 0
-    assert signature(discriminant_module(EvenLattice(((2,),)))) == 1
-    assert signature(discriminant_module(EvenLattice(((2, 1), (1, -2))))) == 0
-    assert signature(discriminant_module(EvenLattice(((-4,),)))) == 7
+    assert discriminant_module(EvenLattice(())).signature_mod8 == 0
+    assert discriminant_module(EvenLattice(((2,),))).signature_mod8 == 1
+    assert discriminant_module(EvenLattice(((2, 1), (1, -2)))).signature_mod8 == 0
+    assert discriminant_module(EvenLattice(((-4,),))).signature_mod8 == 7
 
 
 def test_weil_matrices_trivial():

@@ -8,7 +8,13 @@ from weilforms.eisenstein import QExpansion
 from weilforms.errors import InputError, MismatchError, PrecisionError
 from weilforms.quadmod import EvenLattice, discriminant_module, module_dual_coset
 from weilforms.thetalift import (LorentzianGram, OrthogonalExpansion,
-                                 conjugate_key, doi_naganuma, theta_lift)
+                                 doi_naganuma, theta_lift)
+
+
+def conjugate_key(r):
+    """Galois conjugation on dual coordinates: r1 + r2 w -> r1 + r2 w'."""
+    r1, r2 = (Fraction(x) for x in r)
+    return (r1 + r2, -r2)
 
 
 def n2_input(prec=4):
