@@ -1,4 +1,4 @@
-"""Command-line interface: parsing, dispatch, serialization, worker pool."""
+"""Command-line interface: parsing, dispatch, serialization."""
 
 from __future__ import annotations
 
@@ -83,7 +83,6 @@ def build_parser():
     parser.add_argument("--format", choices=("json", "table"), default="json",
                         dest="output_format")
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--parallel", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fqm-info", help="discriminant group of a Gram matrix")
@@ -157,23 +156,8 @@ def _emit(payload, table_rows, fmt):
     return _render_table(table_rows)
 
 
-def _parallel_mapper(parallelism):
-    if parallelism <= 1:
-        return None
-    import multiprocessing
-
-    def mapper(func, items):
-        items = list(items)
-        if len(items) <= 1:
-            return [func(x) for x in items]
-        with multiprocessing.Pool(min(parallelism, len(items))) as pool:
-            return pool.map(func, items)
-    return mapper
-
-
 def dispatch(args: argparse.Namespace) -> str:
     cache = DensityCache(args.cache_dir)
-    pmap = _parallel_mapper(max(1, args.parallel))
     fmt = args.output_format
     cmd = args.command
 
@@ -209,8 +193,7 @@ def dispatch(args: argparse.Namespace) -> str:
     if cmd == "eisenstein":
         lattice = load_gram(args.gram)
         exp = eisenstein_qexp(lattice, _parse_fraction(args.weight),
-                              _parse_prec(args.prec), cache=cache,
-                              parallel_map=pmap)
+                              _parse_prec(args.prec), cache=cache)
         return _emit(exp.to_json_dict(), _qexp_table(exp), fmt)
 
     if cmd == "r-series":
@@ -219,14 +202,14 @@ def dispatch(args: argparse.Namespace) -> str:
         beta = parse_beta(module, args.beta)
         idx = CuspIndex(_parse_fraction(args.m), beta)
         exp = r_series(lattice, _parse_fraction(args.weight), idx,
-                       _parse_prec(args.prec), cache=cache, parallel_map=pmap)
+                       _parse_prec(args.prec), cache=cache)
         return _emit(exp.to_json_dict(), _qexp_table(exp), fmt)
 
     if cmd == "cusp-basis":
         lattice = load_gram(args.gram)
         prec = _parse_prec(args.prec) if args.prec else None
         basis = cusp_basis(lattice, _parse_fraction(args.weight), prec=prec,
-                           cache=cache, parallel_map=pmap)
+                           cache=cache)
         payload = [{"m": _frs(ix.m), "beta": list(ix.beta.coords),
                     "series": exp.to_json_dict()} for ix, exp in basis]
         rows = [("m", "beta", "coefficients")]

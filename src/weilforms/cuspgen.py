@@ -88,7 +88,7 @@ def _validate_index(module, idx: CuspIndex):
 
 
 def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
-             cache=None, parallel_map=None) -> QExpansion:
+             cache=None) -> QExpansion:
     """The antisymmetric cusp form attached to (m, beta), exact coefficients."""
     weight = Fraction(weight)
     prec = Fraction(prec)
@@ -108,8 +108,7 @@ def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
     if not reps:
         # every element is its own negative: no coefficient reads the series
         return QExpansion(module, weight, prec, {})
-    eis = eisenstein_qexp(enlarged, eis_weight, prec, cache=cache,
-                          parallel_map=parallel_map)
+    eis = eisenstein_qexp(enlarged, eis_weight, prec, cache=cache)
     coeffs = {}
     for gamma in reps:
         for n in exponents_for(module, gamma, prec):
@@ -163,8 +162,7 @@ class _RankAccumulator:
         return len(self.rows)
 
 
-def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None,
-               parallel_map=None):
+def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None):
     """A basis of the antisymmetric cusp space as (index, series) pairs.
 
     Iterates indices until the exact coefficient rank reaches the cusp-space
@@ -184,7 +182,7 @@ def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None,
     m_cutoff = Fraction(target + 3)
     for _ in range(2):
         picked = _cusp_basis_attempt(lattice, module, weight, target, work_prec,
-                                     m_cutoff, cache, parallel_map)
+                                     m_cutoff, cache)
         if picked is not None:
             break
         work_prec *= 2
@@ -199,13 +197,12 @@ def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None,
                                  {key: c for key, c in series.coeffs.items()
                                   if key[1] < out_prec}))
                 for idx, series in picked]
-    return [(idx, r_series(lattice, weight, idx, out_prec, cache=cache,
-                           parallel_map=parallel_map))
+    return [(idx, r_series(lattice, weight, idx, out_prec, cache=cache))
             for idx, _ in picked]
 
 
 def _cusp_basis_attempt(lattice, module, weight, target, work_prec, m_cutoff,
-                        cache, parallel_map):
+                        cache):
     keys = []
     for gamma in module.orbit_reps():
         if module.is_self_negative(gamma):
@@ -215,8 +212,7 @@ def _cusp_basis_attempt(lattice, module, weight, target, work_prec, m_cutoff,
     acc = _RankAccumulator()
     picked = []
     for idx in candidate_indices(module, m_cutoff):
-        series = r_series(lattice, weight, idx, work_prec, cache=cache,
-                          parallel_map=parallel_map)
+        series = r_series(lattice, weight, idx, work_prec, cache=cache)
         if acc.add([series.coefficient(g, n) for (g, n) in keys]):
             picked.append((idx, series))
         if acc.rank == target:

@@ -7,16 +7,18 @@ even lattice L is assembled coefficient by coefficient as
 
 where the infinite product over good primes collapses, via the functional
 equation, to special values L(1-s, chi) of quadratic Dirichlet L-functions
-given exactly by generalized Bernoulli numbers.  Densities at bad primes
-(p | 2 det) are counted directly; the counting lattice is (-L) + U^j padded
-with hyperbolic planes U to rank 2k.  The sign eps is +1 when
-2k + sig(A, Q) = 0 mod 8 and -1 when it is 4 mod 8.
+given exactly by generalized Bernoulli numbers.  Each L-value is computed
+once per character and weight, from the values of chi at primes.  Densities
+at bad primes (p | 2 det) are counted directly; the counting lattice is
+(-L) + U^j padded with hyperbolic planes U to rank 2k.  The sign eps is +1
+when 2k + sig(A, Q) = 0 mod 8 and -1 when it is 4 mod 8.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -148,12 +150,36 @@ def generalized_bernoulli(chi: KroneckerCharacter, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = chi.conductor
-    support = [(a, c) for a in range(1, f + 1) if (c := chi(a))]
-    sums = [sum(c * a ** m for a, c in support) for m in range(n + 1)]
+    return _generalized_bernoulli(chi.disc, n)
+
+
+@lru_cache(maxsize=None)
+def _generalized_bernoulli(disc: int, n: int) -> Fraction:
+    # for f > 1, chi(f - a) = chi(-1) chi(a) and B_n(1 - x) = (-1)^n B_n(x)
+    # make the terms at a and f - a equal or opposite, so the sum is
+    # 1 + chi(-1) (-1)^n times the sum over a <= f/2
+    f = max(abs(disc), 1)
+    chi_neg1 = -1 if disc < 0 else 1
+    top, pair = (f // 2, 1 + chi_neg1 * (-1) ** n) if f > 1 else (1, 1)
+    # chi(a) for a <= top by complete multiplicativity: kronecker at primes,
+    # chi(q) chi(a/q) through the smallest prime factor q of a, which the
+    # descending sieve leaves in place
+    spf = list(range(top + 1))
+    for q in range(math.isqrt(top), 1, -1):
+        spf[q * q::q] = [q] * len(range(q * q, top + 1, q))
+    chi = [0, 1] + [0] * (top - 1)
+    for a in range(2, top + 1):
+        q = spf[a]
+        chi[a] = kronecker(disc, a) if q == a else chi[q] * chi[a // q]
+    support = [a for a in range(1, top + 1) if chi[a]]
+    terms = [chi[a] for a in support]
+    sums = []
+    for _ in range(n + 1):
+        sums.append(sum(terms))
+        terms = list(map(operator.mul, terms, support))
     bs = _bernoulli_list(n)
-    return sum(math.comb(n, j) * bs[j] * Fraction(f) ** (j - 1) * sums[n - j]
-               for j in range(n + 1))
+    return pair * sum(math.comb(n, j) * bs[j] * Fraction(f) ** (j - 1)
+                      * sums[n - j] for j in range(n + 1))
 
 
 def lvalue_at_negative(chi: KroneckerCharacter, n: int) -> Fraction:
@@ -348,8 +374,8 @@ def hyperbolic_padding(lattice: EvenLattice, weight) -> int:
     return int(pad2) // 2
 
 
-def eisenstein_qexp(lattice: EvenLattice, weight, prec, cache=None,
-                    parallel_map=None) -> QExpansion:
+def eisenstein_qexp(lattice: EvenLattice, weight, prec,
+                    cache=None) -> QExpansion:
     """Eisenstein series attached to e_0 for the dual Weil representation.
 
     Returns the zero expansion for antisymmetric weights.  Exact rational
@@ -377,45 +403,16 @@ def eisenstein_qexp(lattice: EvenLattice, weight, prec, cache=None,
     if prec > 0:
         coeffs[(module.zero().coords, Fraction(0))] = Fraction(1)
 
-    tasks = []
     for gamma in module.orbit_reps():
-        ns = exponents_for(module, gamma, prec)
-        if ns:
-            tasks.append((gamma, ns))
-
-    if parallel_map is None:
-        results = [_orbit_coefficients(engine, weight, eps, det_m, bad,
-                                       module.dual_vector(g), ns)
-                   for g, ns in tasks]
-    else:
-        cache_dir = cache.directory if cache is not None else None
-        payloads = [(core, j_pad, weight, eps, det_m, bad,
-                     module.dual_vector(g), ns, cache_dir) for g, ns in tasks]
-        results = parallel_map(_eisenstein_orbit_worker, payloads)
-    for (gamma, _), row in zip(tasks, results):
+        gvec = module.dual_vector(gamma)
         neg = module.neg(gamma)
-        for n, val in row:
+        for n in exponents_for(module, gamma, prec):
+            dens = {p: engine.density(p, n, gvec).value for p in bad}
+            val = _assemble(weight, eps, det_m, dets, bad, dens, n)
             if val:
                 coeffs[(gamma.coords, n)] = val
                 coeffs[(neg.coords, n)] = val
     return QExpansion(module, weight, prec, coeffs)
-
-
-def _orbit_coefficients(engine, weight, eps, det_m, bad, gvec, ns):
-    out = []
-    for n in ns:
-        dens = {p: engine.density(p, n, gvec).value for p in bad}
-        out.append((n, _assemble(weight, eps, det_m, abs(det_m), bad, dens, n)))
-    return out
-
-
-def _eisenstein_orbit_worker(payload):
-    """Top-level worker so process pools can map coefficient tasks."""
-    from .localdensity import DensityCache
-    core, j_pad, weight, eps, det_m, bad, gvec, ns, cache_dir = payload
-    cache = DensityCache(cache_dir) if cache_dir is not None else None
-    engine = DensityEngine(core, j_pad, cache=cache)
-    return _orbit_coefficients(engine, weight, eps, det_m, bad, gvec, ns)
 
 
 def _assemble(weight, eps, det_m, dets, bad, dens, n) -> Fraction:

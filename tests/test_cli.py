@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weilforms.cli import main
 
@@ -107,11 +108,16 @@ def test_weight3_command(capsys):
 def test_stdout_pinned_for_paths_the_benchmark_never_runs(gram_file, capsys):
     # SHA-256 of stdout recorded at commit 6a99a4e, with the class-number
     # layer still in Fraction arithmetic; the cusp-basis ones at 6892454,
-    # when every picked series was computed a second time
+    # when every picked series was computed a second time; the [[-502]]
+    # series, 251 L-values over 131 characters of conductor up to 993, at
+    # dcc2632, when each L-value was summed afresh with kronecker at every a
     m12 = gram_file("m12.json", [[-12]])
     b8 = gram_file("b8.json", [[2, 1], [1, -8]])
     m6 = gram_file("m6.json", [[-6]])
+    m502 = gram_file("m502.json", [[-502]])
     pinned = {
+        "eisenstein --gram %s --weight 5/2 --prec 1" % m502:
+            "76eaca8e1323ce689621c391f4890debfa47566ed7e7872e7fdc1b1bce857fc9",
         "cusp-basis --gram %s --weight 15/2" % m12:
             "a8d7f485d5c5f577e1ee60b3fa828981283f5b8787b846cb6af96c1e500c08f1",
         "cusp-basis --gram %s --weight 5" % b8:
@@ -283,11 +289,45 @@ def test_cache_cold_and_warm_identical(gram_file, capsys, tmp_path):
     assert cold == warm
 
 
-def test_parallel_matches_sequential(gram_file, capsys):
-    g5 = gram_file("g5.json", [[-2, -1], [-1, 2]])
-    argv = ["eisenstein", "--gram", g5, "--weight", "4", "--prec", "3"]
-    code, seq, _ = run_cli(capsys, argv)
-    assert code == 0
-    code, par, _ = run_cli(capsys, ["--parallel", "2"] + argv)
-    assert code == 0
-    assert seq == par
+_ENTRY = st.integers(-8, 8)
+_DIAG = st.one_of(st.integers(-4, 4).map(lambda x: 2 * x), _ENTRY)
+_GRAM = st.one_of(
+    st.just([]),
+    st.builds(lambda a: [[a]], _DIAG),
+    st.builds(lambda a, b, c: [[a, b], [b, c]], _DIAG, _ENTRY, _DIAG))
+_WEIGHT = st.sampled_from(["2", "5/2", "3", "7/2", "4", "9/2", "5", "11/2", "w"])
+_PREC = st.sampled_from(["-1", "0", "1/2", "1", "3/2", "2"])
+_FLAGS = st.sampled_from([[], [], ["--format", "table"], ["--parallel", "2"]])
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["fqm-info", "dim", "eisenstein", "r-series"]))
+    argv = [cmd, "--gram", None]
+    if cmd != "fqm-info":
+        argv += ["--weight", draw(_WEIGHT)]
+    if cmd == "r-series":
+        argv += ["--m", draw(st.sampled_from(["1/4", "1/8", "1", "0"])),
+                 "--beta", draw(st.sampled_from(["0", "1", "1,1", "1/2"]))]
+    if cmd in ("eisenstein", "r-series"):
+        argv += ["--prec", draw(_PREC)]
+    return draw(_FLAGS) + argv
+
+
+@settings(max_examples=150, deadline=5000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gram=_GRAM, argv=_argv())
+def test_main_ends_in_a_result_or_one_json_error(gram_file, capsys, gram, argv):
+    # every bounded input ends in exit 0, or in exit 2, 3 or 4 with exactly
+    # one JSON object on stderr that names the same code; --parallel is
+    # not an option, so it exits 2
+    argv[argv.index(None)] = gram_file("fuzz.json", gram)
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 2, 3, 4)
+    if "--parallel" in argv:
+        assert code == 2
+    if code:
+        assert out == ""
+        assert json.loads(err)["exit_code"] == code
+    else:
+        assert err == "" and out
