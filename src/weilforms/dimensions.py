@@ -2,7 +2,10 @@
 
 The formula evaluates Gauss sums over the discriminant group in floating
 point and rounds; the rounding residual is recorded and checked.  Valid for
-weights k > 2 with k + sig/2 an odd integer.
+weights k > 2 with k + sig/2 an odd integer.  The formula is d_pairs k / 12
+plus terms of period 12 in k (its phases have periods 4 and 6), so the floats
+are read at k' = k - 12 j in (2, 14] and j d_pairs is added exactly; weights
+above 14 record the residual at k'.
 """
 
 from __future__ import annotations
@@ -76,9 +79,11 @@ def dim_antisymmetric(module: FiniteQuadraticModule, weight) -> DimensionReport:
     g2 = gauss_sum(2, module)
     g1 = gauss_sum(1, module)
     gm3 = gauss_sum(-3, module)
-    total = complex(d_pairs * float(k - 1) / 12)
-    total += _e(Fraction(int(2 * (k + 1)) + sig, 8)) * g2.imag / (4 * math.sqrt(order))
-    total -= (_e(Fraction(int(4 * k) + 3 * sig - 10, 24)) * (g1 - gm3)).real \
+    periods = math.ceil((k - 14) / 12)
+    kr = k - 12 * periods
+    total = complex(d_pairs * float(kr - 1) / 12)
+    total += _e(Fraction(int(2 * (kr + 1)) + sig, 8)) * g2.imag / (4 * math.sqrt(order))
+    total -= (_e(Fraction(int(4 * kr) + 3 * sig - 10, 24)) * (g1 - gm3)).real \
         / (3 * math.sqrt(3 * order))
     total += float(alpha4 + b1 - b2) / 2
     dim_m = round(total.real)
@@ -86,6 +91,7 @@ def dim_antisymmetric(module: FiniteQuadraticModule, weight) -> DimensionReport:
     if residual > RESIDUAL_TOLERANCE:
         raise NumericInconsistencyError(
             "dimension formula residual %.3g exceeds tolerance" % residual)
+    dim_m += periods * d_pairs
     dim_s = dim_m - alpha4
     if dim_m < 0 or dim_s < 0:
         raise NumericInconsistencyError("negative dimension computed")

@@ -3,8 +3,9 @@
 The lift of a cusp form F for the module (A, -Q_S) is the series with
 coefficient sum_{n >= 1, r/n dual} c(Q(r/n), r/n) n^(k-1) at each dual
 vector r in the closed positive cone, enumerated up to a height bound
-against the cone seed.  Signature (1, 1) cones are scanned line by line
-with exact rational interval bounds; rank one is a ray.
+against the cone seed.  Cones of every rank l >= 1 are enumerated one
+height slice at a time: each slice is an ellipsoid in the l - 1 coordinates
+orthogonal to the seed, walked over exact integer intervals.
 """
 
 from __future__ import annotations
@@ -122,68 +123,59 @@ class OrthogonalExpansion:
 def _cone_vectors(gram: LorentzianGram, height_bound: Fraction):
     """Integer vectors v = S r with r in the closed cone, 0 < height <= bound.
 
-    Heights are measured by <r, seed> = v . seed.
+    Heights are measured by <r, seed> = v . seed.  With w the primitive
+    integer vector along the seed, the vectors of height t g / den are
+    v = t a + sum_k u_k b_k, where a . w = 1 and the b_k span the integer
+    vectors orthogonal to w.  The cone condition reads P(v) <= 0 for
+    P(v) = -v^T S^-1 v = -(r, r), which is positive definite on w-perp
+    because the seed is timelike; so each slice is an ellipsoid in u.
+    Written as P = sum_i d_i (x_i + sum_{j>i} mu_ij x_j)^2 in the coordinates
+    x = (u_1 .. u_{l-1}, t), it is walked from t down (Fincke-Pohst), each
+    coordinate over its exact interval, and the last interval emitted whole.
     """
-    seed = gram.cone_seed
     ell = gram.ell
-    if ell == 1:
-        sigma = seed[0]
-        out = []
-        v = 1 if sigma > 0 else -1
-        while abs(sigma) * abs(v) <= height_bound:
-            out.append((v,))
-            v += 1 if sigma > 0 else -1
-        return out
-    if ell != 2:
-        raise InputError("cone enumeration implemented for rank 1 and 2 only")
-    den = math.lcm(seed[0].denominator, seed[1].denominator)
-    w = (int(seed[0] * den), int(seed[1] * den))
-    g = math.gcd(w[0], w[1])
-    w0 = (w[0] // g, w[1] // g)
-    # solve v . w0 = t, t = 1 .. floor(bound * den / g)
-    gg, x, y = _xgcd(w0[0], w0[1])
-    assert gg == 1
-    direction = (-w0[1], w0[0])
-    adj = [[gram.s[1][1], -gram.s[0][1]], [-gram.s[0][1], gram.s[0][0]]]
-    dets = _linalg.det([list(r) for r in gram.s])
-    assert dets < 0
-    tmax = math.floor(height_bound * den / g)
+    den = math.lcm(*(x.denominator for x in gram.cone_seed))
+    w = [int(x * den) for x in gram.cone_seed]
+    g = math.gcd(*w)
+    # Euclid column steps, keeping w . cols[j] == rest[j] * g
+    rest, cols = [x // g for x in w], _linalg.identity(ell)
+    for j in range(1, ell):
+        while rest[j]:
+            q = rest[0] // rest[j]
+            rest[0], rest[j] = rest[j], rest[0] - q * rest[j]
+            cols[0], cols[j] = cols[j], [x - q * y for x, y in zip(cols[0], cols[j])]
+    basis = cols[1:] + [[rest[0] * x for x in cols[0]]]
+    sinv = _linalg.inverse([list(row) for row in gram.s])
+    m = [[-sum(b[i] * sinv[i][j] * c[j] for i in range(ell) for j in range(ell))
+          for c in basis] for b in basis]
+    for i in range(ell):  # m[i][i] = d_i and m[i][j] = mu_ij for j > i
+        for j in range(i + 1, ell):
+            m[j][i], m[i][j] = m[i][j], m[i][j] / m[i][i]
+        for k in range(i + 1, ell):
+            for j in range(k, ell):
+                m[k][j] -= m[k][i] * m[i][j]
+    x = [0] * ell
     out = []
-    for t in range(1, tmax + 1):
-        v0 = (x * t, y * t)
-        # v(u) = v0 + u d; cone condition v^T adj v >= 0 flips under det < 0
-        qa = _quad(adj, direction, direction)
-        qb = 2 * _quad(adj, v0, direction)
-        qc = _quad(adj, v0, v0)
-        # want qa u^2 + qb u + qc <= 0 with qa > 0
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            continue
-        root = math.isqrt(disc)
-        lo = (-qb - root) // (2 * qa) - 2
-        hi = (-qb + root) // (2 * qa) + 2
+
+    def walk(k, lo, hi, budget, v):
+        if k == 0:
+            out.extend(tuple(a + u * b for a, b in zip(v, basis[0]))
+                       for u in range(lo, hi + 1))
+            return
+        offset = sum(m[k][j] * x[j] for j in range(k + 1, ell))
         for u in range(lo, hi + 1):
-            if qa * u * u + qb * u + qc <= 0:
-                out.append((v0[0] + u * direction[0], v0[1] + u * direction[1]))
+            x[k] = u
+            left = budget - m[k][k] * (u + offset) ** 2
+            # |x Q - N| <= sqrt(Q^2 left / d) about the centre N / Q
+            c = -sum(m[k - 1][j] * x[j] for j in range(k, ell))
+            r = left / m[k - 1][k - 1]
+            s = math.isqrt(c.denominator ** 2 * r.numerator // r.denominator)
+            walk(k - 1, -((s - c.numerator) // c.denominator),
+                 (c.numerator + s) // c.denominator, left,
+                 [a + u * b for a, b in zip(v, basis[k])])
+
+    walk(ell - 1, 1, math.floor(height_bound * den / g), 0, [0] * ell)
     return out
-
-
-def _quad(mat, v, w):
-    return sum(v[i] * mat[i][j] * w[j] for i in range(len(v)) for j in range(len(v)))
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def theta_lift(form: QExpansion, gram: LorentzianGram, weight: int,
@@ -198,25 +190,23 @@ def theta_lift(form: QExpansion, gram: LorentzianGram, weight: int,
     if form.weight != expected:
         raise MismatchError("input weight %s, expected %s" % (form.weight, expected))
     sinv = _linalg.inverse([list(row) for row in gram.s])
+    vectors = _cone_vectors(gram, height_bound)
+    keys = [tuple(_linalg.mat_vec(sinv, v)) for v in vectors]
+    norms = [gram.qvalue(r) for r in keys]
+    # q(r / n) = q(r) / n^2, so the largest exponent read is the largest q(r)
+    if norms and max(norms) >= form.prec:
+        raise PrecisionError("input precision %s does not cover exponent %s"
+                             % (form.prec, max(norms)))
     module = form.module
     coeffs = {}
-    for v in _cone_vectors(gram, height_bound):
-        r = tuple(sum(Fraction(sinv[i][j]) * v[j] for j in range(ell))
-                  for i in range(ell))
-        content = math.gcd(*(abs(x) for x in v)) if any(v) else 0
-        if content == 0:
-            continue
+    for v, r, norm in zip(vectors, keys, norms):
+        content = math.gcd(*v)
         total = Fraction(0)
         for n in range(1, content + 1):
             if content % n:
                 continue
             lam = tuple(x / n for x in r)
-            exponent = gram.qvalue(lam)
-            if exponent >= form.prec:
-                raise PrecisionError(
-                    "input precision %s does not cover exponent %s"
-                    % (form.prec, exponent))
-            c = form.coefficient(module_dual_coset(module, lam), exponent)
+            c = form.coefficient(module_dual_coset(module, lam), norm / n ** 2)
             if c:
                 total += c * Fraction(n) ** (weight - 1)
         if total:

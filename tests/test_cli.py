@@ -164,6 +164,34 @@ def test_doi_naganuma_command(gram_file, capsys, tmp_path):
     assert any(e["c"] == "1/1" for e in data["hilbert"])
 
 
+def test_rank3_theta_lift_pinned(gram_file, capsys, tmp_path):
+    # an O(2, 3) lift, whose cone is enumerated in rank 3: SHA-256 of the
+    # r-series stdout recorded at 53669bf; the lift has two coefficients,
+    # +-25920/8831 at r = (1, 1, -+1/4)
+    neg = gram_file("neg.json", [[0, -1, 0], [-1, 0, 0], [0, 0, 4]])
+    s = gram_file("s.json", [[0, 1, 0], [1, 0, 0], [0, 0, -4]])
+    forms = []
+    for prec in ("8", "4"):
+        code, out, _ = run_cli(capsys, ["r-series", "--gram", neg, "--weight",
+                                        "21/2", "--m", "7/8", "--beta", "1",
+                                        "--prec", prec])
+        assert code == 0
+        forms.append(tmp_path / ("form%s.json" % prec))
+        forms[-1].write_text(out)
+    assert hashlib.sha256(forms[0].read_bytes()).hexdigest() == \
+        "5c1ba6de62b5fbe42e4cb171ad7bc20eed78f20078f688a8944de6abd890b19b"
+    lift = ["theta-lift", "--gram", s, "--weight", "11", "--seed", "1,1,0"]
+    code, out, _ = run_cli(capsys, lift + ["--input", str(forms[0]),
+                                           "--bound", "2"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c2f87c85e5a830cb2f037f11c5c5b58ee68a191ed90555e48c7982a1e699d2b7"
+    code, out, err = run_cli(capsys, lift + ["--input", str(forms[1]),
+                                             "--bound", "4"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "PrecisionError"
+
+
 def test_exit_codes(gram_file, capsys, tmp_path):
     # 2: input errors
     code, _, err = run_cli(capsys, ["dim", "--gram", "/nonexistent.json",
@@ -304,7 +332,10 @@ _FLAGS = st.sampled_from([[], [], ["--format", "table"], ["--parallel", "2"]])
 def _argv(draw):
     cmd = draw(st.sampled_from(["fqm-info", "dim", "eisenstein", "r-series"]))
     argv = [cmd, "--gram", None]
-    if cmd != "fqm-info":
+    if cmd == "dim":
+        # a valid weight whose floats overflow without the period-12 reduction
+        argv += ["--weight", draw(_WEIGHT | st.just("1e400"))]
+    elif cmd != "fqm-info":
         argv += ["--weight", draw(_WEIGHT)]
     if cmd == "r-series":
         argv += ["--m", draw(st.sampled_from(["1/4", "1/8", "1", "0"])),

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from weilforms import _linalg
 from weilforms.dimensions import dim_antisymmetric, gauss_sum, sawtooth
 from weilforms.errors import WrongParityError
-from weilforms.quadmod import EvenLattice, cyclic_module, discriminant_module
+from weilforms.quadmod import (EvenLattice, _e, cyclic_module,
+                               discriminant_module)
 
 
 def test_sawtooth_values():
@@ -73,3 +75,40 @@ def test_dimensions_nonnegative_and_monotone(gram, k):
     rep12 = dim_antisymmetric(A, k + 12)
     assert rep.dim_m >= rep.dim_s >= 0
     assert rep12.dim_s >= rep.dim_s
+
+
+def _unreduced_dim_m(module, rep):
+    """dim M_k from the float formula evaluated at k itself."""
+    k, sig, order = rep.weight, module.signature_mod8, module.order
+    g2, g1, gm3 = (gauss_sum(a, module) for a in (2, 1, -3))
+    total = complex(rep.d_pairs * float(k - 1) / 12)
+    total += _e(Fraction(int(2 * (k + 1)) + sig, 8)) * g2.imag / (4 * math.sqrt(order))
+    total -= (_e(Fraction(int(4 * k) + 3 * sig - 10, 24)) * (g1 - gm3)).real \
+        / (3 * math.sqrt(3 * order))
+    total += float(rep.alpha4_tilde + rep.b1 - rep.b2) / 2
+    return round(total.real)
+
+
+def test_period_twelve_reduction_matches_the_unreduced_formula():
+    # dim_m above weight 14 is read at k - 12 j plus j d_pairs; the float
+    # formula at k itself agrees at every antisymmetric weight up to 60
+    rng = random.Random(5)
+    modules = []
+    while len(modules) < 12:
+        n = rng.randrange(1, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.choice((-3, -2, -1, 1, 2, 3))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randrange(-2, 3)
+        if 0 < abs(_linalg.det(gram)) <= 60:
+            modules.append(discriminant_module(EvenLattice(tuple(map(tuple, gram)))))
+    checked = 0
+    for module in modules:
+        for k in (Fraction(h, 2) for h in range(5, 121)):
+            if (2 * k + module.signature_mod8) % 4 != 2:
+                continue
+            rep = dim_antisymmetric(module, k)
+            assert rep.dim_m == _unreduced_dim_m(module, rep), (module, k)
+            checked += k > 14
+    assert checked > 150

@@ -1,14 +1,18 @@
+import collections
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from weilforms import _linalg
 from weilforms.cuspgen import CuspIndex, r_series
 from weilforms.eisenstein import QExpansion
 from weilforms.errors import InputError, MismatchError, PrecisionError
 from weilforms.quadmod import EvenLattice, discriminant_module, module_dual_coset
 from weilforms.thetalift import (LorentzianGram, OrthogonalExpansion,
-                                 doi_naganuma, theta_lift)
+                                 _cone_vectors, doi_naganuma, theta_lift)
 
 
 def conjugate_key(r):
@@ -167,8 +171,85 @@ def test_orthogonal_expansion_round_trip():
     assert lift2.weight == lift.weight
 
 
-def test_rank3_cone_rejected():
-    from weilforms.thetalift import _cone_vectors
-    gram = LorentzianGram(((2, 0, 0), (0, -2, 0), (0, 0, -2)), (1, 0, 0))
-    with pytest.raises(InputError):
-        _cone_vectors(gram, Fraction(2))
+def _box_search(gram, bound):
+    """The cone vectors by an exhaustive search of a box that holds them all.
+
+    For r in the cone, N(r) = 2 <r, w>^2 / (w, w) - (r, r) is at most
+    2 B^2 / (w, w) = C, with w the seed; N is positive definite.  In the
+    coordinates v = S r its matrix is M = 2 w w^T / (w, w) - S^-1, so
+    |v_i|^2 <= C (M^-1)_ii.  None if the box has more than 10^5 points.
+    """
+    ell, w = gram.ell, gram.cone_seed
+    sinv = _linalg.inverse(gram.s)
+    ww = 2 * gram.qvalue(w)
+    m = [[2 * w[i] * w[j] / ww - sinv[i][j] for j in range(ell)]
+         for i in range(ell)]
+    minv = _linalg.inverse(m)
+    c = 2 * bound ** 2 / ww
+    half = [math.isqrt(math.floor(c * minv[i][i])) for i in range(ell)]
+    if math.prod(2 * h + 1 for h in half) > 10 ** 5:
+        return None
+    box = np.stack(np.meshgrid(*(np.arange(-h, h + 1) for h in half),
+                               indexing="ij"), -1).reshape(-1, ell)
+    # in integers: den * height, and (r, r) times |det S|
+    den = math.lcm(*(x.denominator for x in w))
+    height = box @ np.array([int(x * den) for x in w])
+    det = abs(_linalg.det(gram.s))
+    norm = np.einsum("ni,ij,nj->n", box,
+                     np.array([[int(det * x) for x in row] for row in sinv]), box)
+    keep = (height > 0) & (height <= math.floor(bound * den)) & (norm >= 0)
+    return [tuple(int(x) for x in v) for v in box[keep]]
+
+
+def test_cone_vectors_match_box_search():
+    # one enumerator for every rank: random conjugates of diagonal forms
+    # at ranks 1 to 3, integral and rational seeds, and U + [-2] + [-2];
+    # random rank-4 conjugates mostly have boxes too large to search
+    rng = random.Random(11)
+    u22 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2))
+    cases = [(u22, (1, 1, 0, 0), 4),
+             (u22, (1, Fraction(1, 2), Fraction(1, 3), 0), Fraction(7, 2)),
+             (((0, 1, 0), (1, 0, 0), (0, 0, -4)), (1, 1, 0), 4),
+             (((0, 1, 0), (1, 0, 0), (0, 0, -4)),
+              (1, Fraction(1, 2), Fraction(1, 3)), Fraction(7, 2)),
+             (((2, 1), (1, -2)), (Fraction(3, 2), Fraction(-1, 3)), 5),
+             (((4,),), (Fraction(-2, 3),), 5)]
+    for ell in (1, 2, 3) * 5:
+        diag = [2 * rng.randrange(1, 4)] \
+            + [-2 * rng.randrange(1, 4) for _ in range(ell - 1)]
+        gram, seed = _conjugated(diag, rng)
+        cases.append((gram, seed, rng.randrange(1, 6)))
+        rational = tuple(x + Fraction(rng.randrange(-1, 2), 3) for x in seed)
+        if LorentzianGram(gram, seed).qvalue(rational) > 0:
+            cases.append((gram, rational, Fraction(rng.randrange(3, 15), 2)))
+    searched = collections.Counter()
+    for gram, seed, bound in cases:
+        lg = LorentzianGram(gram, seed)
+        box = _box_search(lg, Fraction(bound))
+        if box is None:
+            continue
+        got = _cone_vectors(lg, Fraction(bound))
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(box), (gram, seed, bound)
+        searched[lg.ell] += bool(box)
+    assert min(searched[ell] for ell in (1, 2, 3)) >= 5 and searched[4] == 2
+
+
+def test_rank3_lift_primitive_keys_read_the_input():
+    # an O(2, 3) lift: at every key r whose S r has content 1 the lift
+    # coefficient is the input coefficient c(q(r), r)
+    L = EvenLattice(((0, -1, 0), (-1, 0, 0), (0, 0, 4)))
+    A = discriminant_module(L)
+    form = r_series(L, Fraction(21, 2), CuspIndex(Fraction(7, 8), A.element((1,))), 8)
+    gram = LorentzianGram(((0, 1, 0), (1, 0, 0), (0, 0, -4)), (1, 1, 0))
+    lift = theta_lift(form, gram, 11, 4)
+    sinv = _linalg.inverse(gram.s)
+    primitive = 0
+    for v in _cone_vectors(gram, Fraction(4)):
+        if math.gcd(*v) == 1:
+            r = tuple(_linalg.mat_vec(sinv, v))
+            c = form.coefficient(module_dual_coset(A, r), gram.qvalue(r))
+            assert lift.coefficient(r) == c
+            primitive += bool(c)
+    assert primitive and not lift.is_zero()
+    assert lift.coefficient((1, 1, Fraction(-1, 4))) == Fraction(25920, 8831)
