@@ -2,11 +2,13 @@
 
 Matrices are lists of lists (or tuples of tuples); entries are ints or
 Fractions.  Everything here is desk scale, so plain Gaussian elimination
-with Fractions is fine.
+with Fractions is fine.  `det` and `inertia` read one symmetric
+elimination, so both take symmetric matrices only.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -18,56 +20,45 @@ def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
-def det(mat):
-    """Exact determinant (Fraction-based Gaussian elimination)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    prod = Fraction(sign)
-    for i in range(n):
-        prod *= a[i][i]
-    return int(prod) if prod.denominator == 1 else prod
+def _pivots(mat):
+    """Diagonal of a symmetric elimination of `mat`, in Fractions.
 
-
-def inertia(mat):
-    """(n+, n-) of a symmetric matrix, by symmetric elimination in Fractions.
-
-    A congruence E A E^T keeps the inertia (Sylvester).  Each step pivots on
-    a nonzero diagonal entry; if every remaining diagonal entry is zero, row
-    and column i += row and column j put 2 a_ij on the diagonal.
+    A congruence E A E^T keeps the inertia (Sylvester) and, with det E = 1,
+    the determinant.  Each step pivots on a nonzero diagonal entry and
+    passes to the Schur complement; if every remaining diagonal entry is
+    zero, row and column i += row and column j put 2 a_ij on the diagonal.
+    A remaining zero block gives zero pivots.
     """
     a = [[Fraction(x) for x in row] for row in mat]
-    pos = neg = 0
+    out = []
     while a:
         n = len(a)
         i = next((k for k in range(n) if a[k][k]), None)
         if i is None:
             pair = next(((k, j) for k in range(n) for j in range(n) if a[k][j]), None)
             if pair is None:
-                break
+                return out + [Fraction(0)] * n
             i, j = pair
             a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
                 row[i] += row[j]
         d = a[i][i]
-        pos, neg = pos + (d > 0), neg + (d < 0)
+        out.append(d)
         a = [[a[r][c] - a[r][i] * a[i][c] / d for c in range(n) if c != i]
              for r in range(n) if r != i]
-    return pos, neg
+    return out
+
+
+def det(mat):
+    """Exact determinant of a symmetric matrix: the product of its pivots."""
+    prod = math.prod(_pivots(mat), start=Fraction(1))
+    return int(prod) if prod.denominator == 1 else prod
+
+
+def inertia(mat):
+    """(n+, n-) of a symmetric matrix: the signs of its pivots."""
+    pivots = _pivots(mat)
+    return sum(d > 0 for d in pivots), sum(d < 0 for d in pivots)
 
 
 def inverse(mat):

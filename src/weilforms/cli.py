@@ -228,7 +228,7 @@ def dispatch(args: argparse.Namespace) -> str:
         seed = tuple(_parse_fraction(x) for x in args.seed.split(",")) \
             if args.seed else (1,) + (0,) * (gram_lat.rank - 1)
         gram = LorentzianGram(gram_lat.gram, seed)
-        if args.lift_format == "hilbert" and gram.ell != 2:
+        if args.lift_format == "hilbert" and gram.rank != 2:
             raise InputError("--format hilbert needs a rank-2 Gram matrix")
         lift = theta_lift(form, gram, args.weight, _parse_fraction(args.bound))
         return _emit_lift(lift, args.lift_format, fmt)

@@ -1,17 +1,25 @@
 """Exact Fourier coefficients of vector-valued Eisenstein series.
 
 The weight k series attached to e_0 for the dual Weil representation of an
-even lattice L is assembled coefficient by coefficient as
+even lattice L has one Euler product per coefficient (Bruinier-Kuss 2001).
+With kappa = k - h, h = 0 at integral and 1/2 at half-integral weight,
 
-    c(n, gamma) = eps * (archimedean factor) * prod_p (local density at p)
+    c(n, gamma) = eps * C(kappa, chi) * A(n) * prod_(p | 2 det num(n)) alpha_p E_p,
 
-where the infinite product over good primes collapses, via the functional
-equation, to special values L(1-s, chi) of quadratic Dirichlet L-functions
-given exactly by generalized Bernoulli numbers.  Each L-value is computed
-once per character and weight, from the values of chi at primes.  Densities
-at bad primes (p | 2 det) are counted directly; the counting lattice is
-(-L) + U^j padded with hyperbolic planes U to rank 2k.  The sign eps is +1
-when 2k + sig(A, Q) = 0 mod 8 and -1 when it is 4 mod 8.
+    E_p = 1 / (1 - chi(p) p^-kappa)                      (h = 0),
+    E_p = (1 - chi(p) p^-kappa) / (1 - p^-2kappa)        (h = 1/2).
+
+alpha_p is the local density at p: counted directly at bad primes
+(p | 2 det) on the counting lattice (-L) + U^j, padded with hyperbolic
+planes U to rank 2k, and in closed form at the other primes of n.  chi is
+the character of the square class of (-1)^kappa det, times 2n at h = 1/2.
+At every other prime alpha_p = 1 / E_p, so the E_p over all primes leave
+1 / L(kappa, chi) at h = 0 and L(kappa, chi) / zeta(2 kappa) at h = 1/2.
+The functional equation turns these into L(1 - kappa, chi), exact from
+generalized Bernoulli numbers, inside the n-free constant C(kappa, chi),
+which is computed once per character and weight.  A(n) = n^(kappa-1) at
+h = 0 and n^kappa / sqrt(2n |det| / f) at h = 1/2, f the conductor of chi.
+The sign eps is +1 when 2k + sig(A, Q) = 0 mod 8 and -1 when it is 4 mod 8.
 """
 
 from __future__ import annotations
@@ -212,7 +220,8 @@ def good_prime_local_factor(p: int, n, rank: int, det_m: int) -> Fraction:
     """Closed-form local density at p for p not dividing 2 * det * den(n).
 
     `det_m` is the determinant (with sign) of the counting lattice of the
-    given rank.
+    given rank.  p is odd and prime to the discriminant D of each character
+    below, so chi(p) is kronecker(D, p) on D itself.
     """
     n = Fraction(n)
     if n.denominator % p == 0 or (2 * det_m) % p == 0:
@@ -224,7 +233,7 @@ def good_prime_local_factor(p: int, n, rank: int, det_m: int) -> Fraction:
         lam += 1
     if rank % 2 == 0:
         kappa = rank // 2
-        chi_p = kronecker(fundamental_discriminant_of(Fraction((-1) ** kappa * det_m)), p)
+        chi_p = kronecker((-1) ** kappa * det_m, p)
         x = Fraction(chi_p, p ** (kappa - 1))
         return (1 - Fraction(chi_p, p ** kappa)) * sum(x ** j for j in range(lam + 1))
     kappa = (rank - 1) // 2
@@ -232,8 +241,7 @@ def good_prime_local_factor(p: int, n, rank: int, det_m: int) -> Fraction:
     total = Fraction(1)
     total += (1 - Fraction(1, p)) * sum(w ** t for t in range(1, lam // 2 + 1))
     if lam % 2 == 0:
-        unit = n / p ** lam
-        chi_p = kronecker(fundamental_discriminant_of((-1) ** kappa * 2 * unit * det_m), p)
+        chi_p = kronecker((-1) ** kappa * 2 * det_m * num * n.denominator, p)
         total += chi_p * Fraction(1, p ** kappa) * w ** (lam // 2)
     else:
         total -= Fraction(1, p) * w ** ((lam + 1) // 2)
@@ -263,14 +271,6 @@ class QExpansion:
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
-
-    def __add__(self, other):
-        if self.module != other.module or self.weight != other.weight:
-            raise ValueError("incompatible expansions")
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return QExpansion(self.module, self.weight, min(self.prec, other.prec), out)
 
     def scale(self, a):
         a = Fraction(a)
@@ -394,8 +394,7 @@ def eisenstein_qexp(lattice: EvenLattice, weight, prec,
     core = tuple(tuple(-x for x in row) for row in lattice.gram)
     engine = DensityEngine(core, j_pad, cache=cache)
     eps = 1 if int(parity) % 8 == 0 else -1
-    det_core = _linalg.det(core) if core else 1
-    det_m = det_core * (-1) ** j_pad
+    det_m = _linalg.det(core) * (-1) ** j_pad
     dets = abs(det_m)
     bad = prime_divisors(2 * dets)
 
@@ -415,50 +414,48 @@ def eisenstein_qexp(lattice: EvenLattice, weight, prec,
     return QExpansion(module, weight, prec, coeffs)
 
 
-def _assemble(weight, eps, det_m, dets, bad, dens, n) -> Fraction:
-    """Combine bad-prime densities with the good-prime L-value closed form."""
-    n = Fraction(n)
-    if weight.denominator == 1:
-        kappa = int(weight)
-        d_form = (-1) ** kappa * det_m
-        assert d_form % 4 in (0, 1)
-        chi = KroneckerCharacter(fundamental_discriminant_of(Fraction(d_form)))
-        f = chi.conductor
-        assert chi.is_odd == bool(kappa % 2)
-        s0 = sqrt_exact(Fraction(dets, f))
-        cquot = _gamma_quotient(kappa, 1 if chi.is_odd else 0)
-        lval = lvalue_at_negative(chi, kappa)
-        base = Fraction(2 ** kappa) * Fraction(f) ** (kappa - 1) \
-            / (math.factorial(kappa - 1) * cquot * lval * s0)
-        val = eps * base * n ** (kappa - 1)
-        for p in bad:
-            val *= dens[p] / (1 - Fraction(chi(p), p ** kappa))
-        for p, e in factorize(n.numerator):
-            if (2 * dets) % p:
-                x = Fraction(chi(p), p ** (kappa - 1))
-                val *= sum(x ** t for t in range(e + 1))
-        return val
-    kappa = int(weight - Fraction(1, 2))
-    d_class = Fraction((-1) ** kappa * 2) * n * det_m
-    chi = KroneckerCharacter(fundamental_discriminant_of(d_class))
+@lru_cache(maxsize=None)
+def _character_part(kappa: int, half: int, d: int):
+    """chi of the square class of d and the n-free constant C(kappa, chi).
+
+    With f the conductor of chi, L = L(1 - kappa, chi) and G the Gamma
+    quotient, C = 2^kappa f^(kappa-1) / ((kappa-1)! G L sqrt(|d| / f)) at
+    integral weight, where d = (-1)^kappa det, and
+    C = 2^(kappa+2) kappa! G L / (f^kappa |B_2kappa|) at half-integral
+    weight, where d is already the fundamental discriminant of 2n det.
+    """
+    chi = KroneckerCharacter(d if half else fundamental_discriminant_of(d))
     f = chi.conductor
     assert chi.is_odd == bool(kappa % 2)
-    s = sqrt_exact(2 * n * dets / f)
-    delta = kappa % 2
-    cquot = _gamma_quotient(kappa, delta)
+    gq = _gamma_quotient(kappa, kappa % 2)
     lval = lvalue_at_negative(chi, kappa)
-    b2k = abs(bernoulli_number(2 * kappa))
-    base = Fraction(2 ** (kappa + 2)) * math.factorial(kappa) * cquot \
-        * (n / f) ** kappa * lval / (s * b2k)
-    val = eps * base
-    for p in bad:
-        val *= dens[p] * (1 - Fraction(chi(p), p ** kappa)) \
-            / (1 - Fraction(1, p ** (2 * kappa)))
-    for p, e in factorize(n.numerator):
-        if (2 * dets) % p:
-            alpha = good_prime_local_factor(p, n, 2 * kappa + 1, det_m)
-            val *= alpha * (1 - Fraction(chi(p), p ** kappa)) \
-                / (1 - Fraction(1, p ** (2 * kappa)))
+    if half:
+        return chi, 2 ** (kappa + 2) * math.factorial(kappa) * gq * lval \
+            / (Fraction(f) ** kappa * abs(bernoulli_number(2 * kappa)))
+    return chi, Fraction(2 ** kappa * f ** (kappa - 1)) \
+        / (math.factorial(kappa - 1) * gq * lval * sqrt_exact(Fraction(abs(d), f)))
+
+
+def _assemble(weight, eps, det_m, dets, bad, dens, n) -> Fraction:
+    """The Euler product of the module docstring for one coefficient."""
+    n = Fraction(n)
+    half = int(weight.denominator == 2)
+    kappa = int(weight - Fraction(half, 2))
+    if half:
+        chi, const = _character_part(kappa, half, fundamental_discriminant_of(
+            (-1) ** kappa * 2 * n * det_m))
+        val = eps * const * n ** kappa / sqrt_exact(2 * n * dets / chi.conductor)
+    else:
+        d_form = (-1) ** kappa * det_m
+        assert d_form % 4 in (0, 1)
+        chi, const = _character_part(kappa, half, d_form)
+        val = eps * const * n ** (kappa - 1)
+    for p in set(bad).union(prime_divisors(n.numerator)):
+        alpha = dens[p] if p in dens else \
+            good_prime_local_factor(p, n, 2 * kappa + half, det_m)
+        e_p = 1 - Fraction(chi(p), p ** kappa)
+        val *= alpha * e_p / (1 - Fraction(1, p ** (2 * kappa))) if half \
+            else alpha / e_p
     return val
 
 

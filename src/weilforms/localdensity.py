@@ -218,18 +218,6 @@ class VClassMeasure:
         vals = [3 * 2 ** (nu - 1) if a % 2 == 0 else 0 for a in range(nu)]
         return cls(2, nu, vals, 4 ** (nu // 2))
 
-    def rescale(self, e):
-        """Measure of p^e * q over the same domain, at the same modulus."""
-        p, nu = self.p, self.nu
-        if e == 0:
-            return self
-        if e >= nu:
-            return VClassMeasure(p, nu, [0] * nu, p ** (2 * nu))
-        # p^e q = t iff p^e | t and q = t / p^e mod p^(nu-e); the truncated
-        # histogram already counts over the full (x, y) mod p^nu domain
-        base = _truncate_measure(self, nu - e)
-        return VClassMeasure(p, nu, [0] * e + base.vals, base.zero_val)
-
     def value(self, t):
         t %= self.p ** self.nu
         if t == 0:
@@ -263,26 +251,14 @@ class VClassMeasure:
         return VClassMeasure(p, nu, out[:nu], out[nu])
 
 
-def _truncate_measure(meas, nu_new):
-    """Restrict a class measure on Z/p^nu to Z/p^nu_new (nu_new <= nu).
-
-    Only valid when the underlying distribution is a genuine value histogram
-    of some map into Z/p^nu: counts of the reduction add over lifted classes.
-    """
-    p = meas.p
-    if nu_new == meas.nu:
-        return meas
-    assert nu_new < meas.nu
-    lift = p ** (meas.nu - nu_new)
-    vals = [meas.vals[a] * lift for a in range(nu_new)]
-    zero = meas.zero_val
-    for a in range(nu_new, meas.nu):
-        zero += meas.vals[a] * (p ** (meas.nu - a - 1)) * (p - 1)
-    return VClassMeasure(p, nu_new, vals, zero)
-
-
 def block_measure(data, p, nu):
-    """Closed-form value distribution of an unshifted binary block mod p^nu."""
+    """Closed-form value distribution of an unshifted binary block mod p^nu.
+
+    The block is 2^e q with q hyperbolic or the norm form, and e is capped
+    at nu.  2^e q(x, y) = t mod 2^nu needs 2^e | t and q = t / 2^e mod
+    2^(nu-e), which depends on (x, y) mod 2^(nu-e) only: q's measure at
+    2^(nu-e), shifted up e classes and times the 4^e lifts of each (x, y).
+    """
     a, b, c = data
     e = _vp(b, p)
     det_unit = (a * c - b * b) / Fraction(p ** (2 * e))
@@ -290,13 +266,16 @@ def block_measure(data, p, nu):
     if p != 2:
         raise ValueError("two-dimensional blocks only occur at p = 2")
     cls = int(_int_mod(det_unit, 8, 2))
+    e = min(e, nu)
     if cls == 7:
-        base = VClassMeasure.hyperbolic(2, nu)
+        base = VClassMeasure.hyperbolic(2, nu - e)
     elif cls == 3:
-        base = VClassMeasure.norm_form(nu)
+        base = VClassMeasure.norm_form(nu - e)
     else:
         raise AssertionError("impossible unimodular binary determinant %d" % cls)
-    return base.rescale(e)
+    lifts = 4 ** e
+    return VClassMeasure(2, nu, [0] * e + [lifts * v for v in base.vals],
+                         lifts * base.zero_val)
 
 
 # -- cosets of shifted blocks, histograms of unshifted ones -------------------

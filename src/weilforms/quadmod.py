@@ -51,7 +51,7 @@ class EvenLattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise DegenerateModuleError("Gram matrix must be symmetric")
-        if n and _linalg.det(g) == 0:
+        if _linalg.det(g) == 0:
             raise DegenerateModuleError("Gram matrix is singular")
 
     @property
@@ -59,7 +59,7 @@ class EvenLattice:
         return len(self.gram)
 
     def det(self) -> int:
-        return _linalg.det(self.gram) if self.rank else 1
+        return _linalg.det(self.gram)
 
     def qvalue(self, v) -> Fraction:
         """Q(v) = v^T G v / 2 for a rational vector v in basis coordinates."""

@@ -3,9 +3,12 @@
 The lift of a cusp form F for the module (A, -Q_S) is the series with
 coefficient sum_{n >= 1, r/n dual} c(Q(r/n), r/n) n^(k-1) at each dual
 vector r in the closed positive cone, enumerated up to a height bound
-against the cone seed.  Cones of every rank l >= 1 are enumerated one
-height slice at a time: each slice is an ellipsoid in the l - 1 coordinates
-orthogonal to the seed, walked over exact integer intervals.
+against the cone seed.  The lattice S is a `LorentzianGram`: an
+`EvenLattice` of signature (1, l-1) that also carries the cone seed, so
+its Gram checks, Q and pairing are the even lattice's.  Cones of every
+rank l >= 1 are enumerated one height slice at a time: each slice is an
+ellipsoid in the l - 1 coordinates orthogonal to the seed, walked over
+exact integer intervals.
 """
 
 from __future__ import annotations
@@ -15,56 +18,32 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
-from .errors import InputError, MismatchError, PrecisionError
+from .errors import (DegenerateModuleError, InputError, MismatchError,
+                     PrecisionError)
 from .eisenstein import QExpansion, _frs, factorize
-from .quadmod import EvenLattice, discriminant_module, module_dual_coset
+from .quadmod import EvenLattice, module_dual_coset
 
 
 @dataclass(frozen=True)
-class LorentzianGram:
-    """Integer symmetric matrix of signature (1, l-1) with even diagonal."""
+class LorentzianGram(EvenLattice):
+    """An even lattice of signature (1, l-1) with a positive-norm cone seed."""
 
-    s: tuple
     cone_seed: tuple
 
     def __post_init__(self):
-        s = tuple(tuple(int(x) for x in row) for row in self.s)
+        try:
+            super().__post_init__()
+        except DegenerateModuleError as exc:
+            raise InputError(str(exc)) from None
         seed = tuple(Fraction(x) for x in self.cone_seed)
-        object.__setattr__(self, "s", s)
         object.__setattr__(self, "cone_seed", seed)
-        ell = len(s)
-        if ell == 0 or any(len(row) != ell for row in s):
-            raise InputError("Gram matrix must be square and nonempty")
-        if len(seed) != ell:
+        if len(seed) != self.rank:
             raise InputError("cone seed has %d coordinates, expected %d"
-                             % (len(seed), ell))
-        for i in range(ell):
-            if s[i][i] % 2:
-                raise InputError("Gram diagonal must be even")
-            for j in range(ell):
-                if s[i][j] != s[j][i]:
-                    raise InputError("Gram matrix must be symmetric")
-        if _linalg.det(s) == 0:
-            raise InputError("Gram matrix is singular")
-        if _linalg.inertia(s)[0] != 1:
+                             % (len(seed), self.rank))
+        if _linalg.inertia(self.gram)[0] != 1:
             raise InputError("signature must be (1, l-1)")
         if self.qvalue(seed) <= 0:
             raise InputError("cone seed must have positive norm")
-
-    @property
-    def ell(self) -> int:
-        return len(self.s)
-
-    def qvalue(self, v) -> Fraction:
-        v = [Fraction(x) for x in v]
-        return sum(v[i] * self.s[i][j] * v[j]
-                   for i in range(self.ell) for j in range(self.ell)) / 2
-
-    def pairing(self, v, w) -> Fraction:
-        v = [Fraction(x) for x in v]
-        w = [Fraction(x) for x in w]
-        return sum(v[i] * self.s[i][j] * w[j]
-                   for i in range(self.ell) for j in range(self.ell))
 
 
 @dataclass
@@ -91,11 +70,11 @@ class OrthogonalExpansion:
 
     def scalar_index(self, r) -> int:
         """Collapse a rank-one key to its integer pairing with the basis vector."""
-        v = _linalg.mat_vec([list(row) for row in self.gram.s],
+        v = _linalg.mat_vec([list(row) for row in self.gram.gram],
                             [Fraction(x) for x in r])
         out = [Fraction(x) for x in v]
         assert all(x.denominator == 1 for x in out)
-        return int(out[0]) if self.gram.ell == 1 else tuple(int(x) for x in out)
+        return int(out[0]) if self.gram.rank == 1 else tuple(int(x) for x in out)
 
     def to_json_dict(self):
         items = []
@@ -104,7 +83,7 @@ class OrthogonalExpansion:
             if c:
                 items.append({"r": [_frs(x) for x in r], "c": _frs(c)})
         return {
-            "s": [list(row) for row in self.gram.s],
+            "s": [list(row) for row in self.gram.gram],
             "cone_seed": [_frs(x) for x in self.gram.cone_seed],
             "weight": self.weight,
             "height_bound": _frs(self.height_bound),
@@ -133,7 +112,7 @@ def _cone_vectors(gram: LorentzianGram, height_bound: Fraction):
     x = (u_1 .. u_{l-1}, t), it is walked from t down (Fincke-Pohst), each
     coordinate over its exact interval, and the last interval emitted whole.
     """
-    ell = gram.ell
+    ell = gram.rank
     den = math.lcm(*(x.denominator for x in gram.cone_seed))
     w = [int(x * den) for x in gram.cone_seed]
     g = math.gcd(*w)
@@ -145,7 +124,7 @@ def _cone_vectors(gram: LorentzianGram, height_bound: Fraction):
             rest[0], rest[j] = rest[j], rest[0] - q * rest[j]
             cols[0], cols[j] = cols[j], [x - q * y for x, y in zip(cols[0], cols[j])]
     basis = cols[1:] + [[rest[0] * x for x in cols[0]]]
-    sinv = _linalg.inverse([list(row) for row in gram.s])
+    sinv = _linalg.inverse([list(row) for row in gram.gram])
     m = [[-sum(b[i] * sinv[i][j] * c[j] for i in range(ell) for j in range(ell))
           for c in basis] for b in basis]
     for i in range(ell):  # m[i][i] = d_i and m[i][j] = mu_ij for j > i
@@ -182,14 +161,14 @@ def theta_lift(form: QExpansion, gram: LorentzianGram, weight: int,
                height_bound) -> OrthogonalExpansion:
     """Lift a cusp form for (A, -Q_S) to an orthogonal cusp form of weight k."""
     height_bound = Fraction(height_bound)
-    ell = gram.ell
-    neg = tuple(tuple(-x for x in row) for row in gram.s)
+    ell = gram.rank
+    neg = tuple(tuple(-x for x in row) for row in gram.gram)
     if form.module.lattice.gram != neg:
         raise MismatchError("input form does not live on the module of -S")
     expected = Fraction(weight) + 1 - Fraction(ell, 2)
     if form.weight != expected:
         raise MismatchError("input weight %s, expected %s" % (form.weight, expected))
-    sinv = _linalg.inverse([list(row) for row in gram.s])
+    sinv = _linalg.inverse([list(row) for row in gram.gram])
     vectors = _cone_vectors(gram, height_bound)
     keys = [tuple(_linalg.mat_vec(sinv, v)) for v in vectors]
     norms = [gram.qvalue(r) for r in keys]

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from weilforms import _linalg, localdensity
-from weilforms.eisenstein import good_prime_local_factor
+from weilforms.eisenstein import (fundamental_discriminant_of, good_prime_local_factor,
+                                  kronecker)
 from weilforms.errors import StabilizationError
 from weilforms.localdensity import (CACHE_SCHEMA, DensityCache, DensityEngine,
                                     VClassMeasure, _coset_one, _convolve_mod, _den_exp,
                                     _dist_one, _dist_two, _int_mod, _level_sums, _vp,
-                                    local_density)
+                                    block_measure, local_density)
 from weilforms.quadmod import EvenLattice, discriminant_module
 
 
@@ -176,6 +177,46 @@ def test_good_prime_closed_form_random():
         cases += 1
 
 
+def good_prime_local_factor_fundamental(p, n, rank, det_m):
+    """The closed form with chi(p) read on the fundamental discriminant."""
+    n = Fraction(n)
+    lam, num = 0, n.numerator
+    while num % p == 0:
+        num //= p
+        lam += 1
+    if rank % 2 == 0:
+        kappa = rank // 2
+        chi_p = kronecker(fundamental_discriminant_of(Fraction((-1) ** kappa * det_m)), p)
+        x = Fraction(chi_p, p ** (kappa - 1))
+        return (1 - Fraction(chi_p, p ** kappa)) * sum(x ** j for j in range(lam + 1))
+    kappa = (rank - 1) // 2
+    w = Fraction(1, p ** (2 * kappa - 1))
+    total = 1 + (1 - Fraction(1, p)) * sum(w ** t for t in range(1, lam // 2 + 1))
+    if lam % 2 == 0:
+        unit = n / p ** lam
+        chi_p = kronecker(fundamental_discriminant_of((-1) ** kappa * 2 * unit * det_m), p)
+        return total + chi_p * Fraction(1, p ** kappa) * w ** (lam // 2)
+    return total - Fraction(1, p) * w ** ((lam + 1) // 2)
+
+
+def test_good_prime_factor_matches_fundamental_discriminant_form():
+    # chi(p) on D itself equals chi(p) on its fundamental discriminant
+    rng = random.Random(23)
+    primes = [3, 5, 7, 11, 13, 17, 19, 23]
+    cases = 0
+    while cases < 2500:
+        p = rng.choice(primes)
+        rank = rng.randrange(3, 13)
+        det_m = rng.choice((-1, 1)) * rng.randrange(1, 5000)
+        n = Fraction(rng.randrange(1, 3000) * p ** rng.randrange(4),
+                     rng.choice((1, 2, 4, 8, 3, 9, 5, 25)))
+        if (2 * det_m) % p == 0 or n.denominator % p == 0:
+            continue
+        assert good_prime_local_factor(p, n, rank, det_m) \
+            == good_prime_local_factor_fundamental(p, n, rank, det_m), (p, n, rank, det_m)
+        cases += 1
+
+
 def test_good_prime_factor_rank_eight_unimodular():
     # split unimodular lattice of rank 8: Euler factor matches the count
     eng = DensityEngine((), 4)
@@ -235,6 +276,19 @@ def test_vclass_measures_match_bruteforce():
             for y in range(modulus):
                 brute[(x * x + x * y + y * y) % modulus] += 1
         assert [meas.value(t) for t in range(modulus)] == brute
+    # 2^e xy and 2^e (x^2 + xy + y^2), Gram entries (a, b, c), at their own
+    # modulus 2^(nu - e) times 4^e lifts; e = nu + 1 is the zero measure
+    for nu in range(5):
+        modulus = 2 ** nu
+        for e in range(nu + 2):
+            for a, b, c in ((0, 1, 0), (2, 1, 2)):
+                meas = block_measure((a << e, b << e, c << e), 2, nu)
+                brute = [0] * modulus
+                for x in range(modulus):
+                    for y in range(modulus):
+                        q = (a * x * x // 2 + b * x * y + c * y * y // 2) << e
+                        brute[q % modulus] += 1
+                assert [meas.value(t) for t in range(modulus)] == brute, (nu, e, a)
 
 
 def test_class_convolve_matches_residue_convolution():

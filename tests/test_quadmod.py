@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
+from weilforms import _linalg
 from weilforms.errors import (DegenerateModuleError, IndexMismatchError, InputError,
                               NotInDualError)
 from weilforms.quadmod import (EvenLattice, cyclic_module, discriminant_module,
@@ -143,6 +145,37 @@ def test_signature_matches_gauss_sum_random_lattices():
         A = discriminant_module(EvenLattice(gram))
         assert A.signature_mod8 == _gauss_sum_signature(A), gram
     assert min(kinds.values()) >= 80, kinds
+
+
+def test_det_matches_sympy():
+    # det reads the pivots of the symmetric elimination; zero diagonals need
+    # its congruence step and singular matrices give a zero pivot
+    rng = random.Random(29)
+    fixed = [(), ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+             ((0, 1, 0), (1, 0, 0), (0, 0, -2)), ((0, 0), (0, 0)),
+             ((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((2, 2), (2, 2)),
+             ((0, 1, 0), (1, 0, 0), (0, 0, 0))]
+    singular = 0
+    for k in range(400):
+        if k < len(fixed):
+            mat = [list(row) for row in fixed[k]]
+        else:
+            n = rng.randrange(6)
+            mat = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    mat[i][j] = mat[j][i] = rng.randrange(-3, 4)
+            if k % 4 == 0:
+                for i in range(n):
+                    mat[i][i] = 0
+            if k % 5 == 0 and n > 1:
+                mat[-1] = mat[0][:]
+                for row in mat:
+                    row[-1] = row[0]
+        want = sympy.Matrix(mat).det() if mat else 1
+        singular += want == 0
+        assert _linalg.det(mat) == want, mat
+    assert singular >= 60, singular
 
 
 def test_enlarge_lattice_rank_zero():

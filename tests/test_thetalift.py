@@ -36,12 +36,21 @@ def d5_input(prec=8):
 
 
 def test_lorentzian_gram_validation():
-    LorentzianGram(((4,),), (1,))
-    LorentzianGram(((2, 1), (1, -2)), (1, 0))
+    assert isinstance(LorentzianGram(((4,),), (1,)), EvenLattice)
+    g = LorentzianGram(((2, 1), (1, -2)), (1, 0))
+    assert isinstance(g, EvenLattice) and g.rank == 2
     with pytest.raises(InputError):
         LorentzianGram(((-4,),), (1,))
     with pytest.raises(InputError):
         LorentzianGram(((2, 1), (1, -2)), (0, 1))  # negative-norm seed
+    for gram, seed in [(((3,),), (1,)),                    # odd diagonal
+                       (((2, 1), (0, -2)), (1, 0)),        # asymmetric
+                       (((2, 2), (2, 2)), (1, 0)),         # singular
+                       (((2, 1),), (1, 0)),                # not square
+                       (((4.0,),), (1,)),                  # not an integer
+                       ((), ())]:                          # empty
+        with pytest.raises(InputError):
+            LorentzianGram(gram, seed)
 
 
 def _conjugated(diag, rng):
@@ -80,7 +89,7 @@ def test_lorentzian_gram_signature():
                 cases.append(_conjugated(diag, rng) + (n_pos == 1,))
     for gram, seed, lorentzian in cases:
         if lorentzian:
-            assert LorentzianGram(gram, seed).s == gram
+            assert LorentzianGram(gram, seed).gram == gram
         else:
             with pytest.raises(InputError, match="signature"):
                 LorentzianGram(gram, seed)
@@ -111,7 +120,9 @@ def test_lift_linearity():
     g = f.scale(3)
     lift_g = theta_lift(g, gram, 5, 5)
     assert lift_g.coeffs == {k: 3 * v for k, v in lift_f.coeffs.items()}
-    s = f + g
+    s = QExpansion(f.module, f.weight, f.prec,
+                   {k: f.coefficient(*k) + g.coefficient(*k)
+                    for k in f.coeffs.keys() | g.coeffs.keys()})
     lift_s = theta_lift(s, gram, 5, 5)
     assert lift_s.coeffs == {k: 4 * v for k, v in lift_f.coeffs.items()}
 
@@ -167,7 +178,7 @@ def test_orthogonal_expansion_round_trip():
     data = lift.to_json_dict()
     lift2 = OrthogonalExpansion.from_json_dict(data)
     assert lift2.coeffs == lift.coeffs
-    assert lift2.gram.s == lift.gram.s
+    assert lift2.gram.gram == lift.gram.gram
     assert lift2.weight == lift.weight
 
 
@@ -179,8 +190,8 @@ def _box_search(gram, bound):
     coordinates v = S r its matrix is M = 2 w w^T / (w, w) - S^-1, so
     |v_i|^2 <= C (M^-1)_ii.  None if the box has more than 10^5 points.
     """
-    ell, w = gram.ell, gram.cone_seed
-    sinv = _linalg.inverse(gram.s)
+    ell, w = gram.rank, gram.cone_seed
+    sinv = _linalg.inverse(gram.gram)
     ww = 2 * gram.qvalue(w)
     m = [[2 * w[i] * w[j] / ww - sinv[i][j] for j in range(ell)]
          for i in range(ell)]
@@ -194,7 +205,7 @@ def _box_search(gram, bound):
     # in integers: den * height, and (r, r) times |det S|
     den = math.lcm(*(x.denominator for x in w))
     height = box @ np.array([int(x * den) for x in w])
-    det = abs(_linalg.det(gram.s))
+    det = abs(_linalg.det(gram.gram))
     norm = np.einsum("ni,ij,nj->n", box,
                      np.array([[int(det * x) for x in row] for row in sinv]), box)
     keep = (height > 0) & (height <= math.floor(bound * den)) & (norm >= 0)
@@ -231,7 +242,7 @@ def test_cone_vectors_match_box_search():
         got = _cone_vectors(lg, Fraction(bound))
         assert len(got) == len(set(got))
         assert sorted(got) == sorted(box), (gram, seed, bound)
-        searched[lg.ell] += bool(box)
+        searched[lg.rank] += bool(box)
     assert min(searched[ell] for ell in (1, 2, 3)) >= 5 and searched[4] == 2
 
 
@@ -243,7 +254,7 @@ def test_rank3_lift_primitive_keys_read_the_input():
     form = r_series(L, Fraction(21, 2), CuspIndex(Fraction(7, 8), A.element((1,))), 8)
     gram = LorentzianGram(((0, 1, 0), (1, 0, 0), (0, 0, -4)), (1, 1, 0))
     lift = theta_lift(form, gram, 11, 4)
-    sinv = _linalg.inverse(gram.s)
+    sinv = _linalg.inverse(gram.gram)
     primitive = 0
     for v in _cone_vectors(gram, Fraction(4)):
         if math.gcd(*v) == 1:
