@@ -14,15 +14,15 @@ from .eisenstein import (QExpansion, eisenstein_qexp, generalized_bernoulli,
                          KroneckerCharacter, modularity_residual)
 from .errors import WeilformsError
 from .localdensity import DensityCache, LocalDensityRecord, local_density
-from .quadmod import (EvenLattice, FiniteQuadraticModule, FqmElement,
-                      cyclic_module, discriminant_module, dual_coset,
-                      enlarge_lattice, weil_matrices)
+from .quadmod import (EvenLattice, FiniteQuadraticModule, cyclic_module,
+                      discriminant_module, dual_coset, enlarge_lattice,
+                      weil_matrices)
 from .thetalift import (LorentzianGram, OrthogonalExpansion, doi_naganuma,
                         theta_lift)
 
 __all__ = [
     "CuspIndex", "DensityCache", "DimensionReport", "EvenLattice", "HurwitzTable",
-    "FiniteQuadraticModule", "FqmElement", "IdealWitness", "jacobi_coefficients",
+    "FiniteQuadraticModule", "IdealWitness", "jacobi_coefficients",
     "KroneckerCharacter", "LocalDensityRecord", "LorentzianGram",
     "OrthogonalExpansion", "QExpansion", "WeilformsError",
     "cusp_basis", "cyclic_module", "dim_antisymmetric", "discriminant_module",

@@ -276,16 +276,17 @@ def _kronecker3(d: int) -> int:
     return (0, 1, -1)[d % 3]
 
 
-def unit_orbit_correction(n_index, gamma, n_disc: int) -> Fraction:
+def unit_orbit_correction(n_index, g: int, n_disc: int) -> Fraction:
     """The closed-form real-quadratic correction term of the weight 3 series.
 
-    `gamma` is the component label g (an integer mod N, the multiple of the
-    distinguished generator) or an FqmElement of the cyclic module.  N = 5
-    uses the Q(sqrt 5) ideal sums; square N uses the finite divisor route.
+    `g` is the integer label of the component g * gen, where gen is the
+    distinguished generator of the cyclic module of order N; it is read
+    mod N.  N = 5 uses the Q(sqrt 5) ideal sums; square N uses the finite
+    divisor route.
     """
     n = Fraction(n_index)
-    g = _resolve_component(gamma, n_disc)
-    if g % n_disc == 0:
+    g %= n_disc
+    if g == 0:
         return Fraction(0)
     s = math.isqrt(n_disc)
     if s * s == n_disc:
@@ -300,17 +301,6 @@ def unit_orbit_correction(n_index, gamma, n_disc: int) -> Fraction:
         return sign * Fraction(1, 5) * _witness_sum(m0)
     raise UnsupportedModuleError(
         "correction term only available for N = 5 or square N")
-
-
-def _resolve_component(gamma, n_disc):
-    if isinstance(gamma, int):
-        return gamma % n_disc
-    from .quadmod import cyclic_module
-    module, gen = cyclic_module(n_disc)
-    for g in range(n_disc):
-        if module.element(tuple(g * c for c in gen.coords)) == gamma:
-            return g
-    raise UnsupportedModuleError("element does not lie in the cyclic module")
 
 
 def _square_disc_correction(n: Fraction, g: int, n_disc: int, s: int) -> Fraction:

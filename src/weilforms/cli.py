@@ -167,7 +167,7 @@ def dispatch(args: argparse.Namespace) -> str:
             "order": module.order,
             "generator_orders": list(module.generator_orders),
             "signature_mod8": module.signature_mod8,
-            "q_values": [{"gamma": list(g.coords), "q": _frs(module.qvalue(g))}
+            "q_values": [{"gamma": list(g), "q": _frs(module.qvalue(g))}
                          for g in module.elements()],
         }
         rows = [("gamma", "Q")] + [(",".join(map(str, e["gamma"])), e["q"])
@@ -210,7 +210,7 @@ def dispatch(args: argparse.Namespace) -> str:
         prec = _parse_prec(args.prec) if args.prec else None
         basis = cusp_basis(lattice, _parse_fraction(args.weight), prec=prec,
                            cache=cache)
-        payload = [{"m": _frs(ix.m), "beta": list(ix.beta.coords),
+        payload = [{"m": _frs(ix.m), "beta": list(ix.beta),
                     "series": exp.to_json_dict()} for ix, exp in basis]
         rows = [("m", "beta", "coefficients")]
         for entry in payload:

@@ -22,20 +22,20 @@ from .eisenstein import (QExpansion, eisenstein_qexp, exponents_for,
 from .errors import (ExhaustionError, IndexMismatchError, InputError,
                      UnsupportedModuleError, UnsupportedWeightError,
                      WrongParityError)
-from .quadmod import (EvenLattice, FqmElement, _mod1, cyclic_module,
+from .quadmod import (EvenLattice, _mod1, cyclic_module,
                       discriminant_module, enlarge_lattice, module_dual_coset)
 
 
 @dataclass(frozen=True)
 class CuspIndex:
     m: Fraction
-    beta: FqmElement
+    beta: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "m", Fraction(self.m))
 
 
-def jacobi_coefficients(module, idx: CuspIndex, gamma: FqmElement, n, eis):
+def jacobi_coefficients(module, idx: CuspIndex, gamma, n, eis):
     """The terms (r, c) of the coefficient of q^n e_gamma, r ascending.
 
     c is the enlarged-lattice coefficient at exponent n - r^2/4m and coset
@@ -52,11 +52,11 @@ def jacobi_coefficients(module, idx: CuspIndex, gamma: FqmElement, n, eis):
     r0 = _mod1(-module.bilinear(gamma, idx.beta))
     base = module_dual_coset(emod, tuple(
         gv + r0 * dv for gv, dv in zip(module.dual_vector(gamma) + (0,), delta)))
-    step = module_dual_coset(emod, delta).coords
+    step = module_dual_coset(emod, delta)
     out = []
     for r in coset_window(r0, 4 * m * n):
         k = int(r - r0)
-        w = emod.element(tuple(a + k * d for a, d in zip(base.coords, step)))
+        w = emod.element(tuple(a + k * d for a, d in zip(base, step)))
         out.append((r, eis.coefficient(w, n - r * r / (4 * m))))
     return out
 
@@ -116,8 +116,8 @@ def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
             total = sum((r * c for r, c in terms), Fraction(0)) / (2 * m)
             if total:
                 neg = module.neg(gamma)
-                coeffs[(gamma.coords, n)] = total
-                coeffs[(neg.coords, n)] = -total
+                coeffs[(gamma, n)] = total
+                coeffs[(neg, n)] = -total
     return QExpansion(module, weight, prec, coeffs)
 
 
@@ -133,7 +133,7 @@ def candidate_indices(module, m_cutoff):
         while m <= m_cutoff:
             out.append(CuspIndex(m, beta))
             m += 1
-    out.sort(key=lambda ix: (ix.m, ix.beta.coords))
+    out.sort(key=lambda ix: (ix.m, ix.beta))
     return out
 
 
@@ -208,7 +208,7 @@ def _cusp_basis_attempt(lattice, module, weight, target, work_prec, m_cutoff,
         if module.is_self_negative(gamma):
             continue
         for n in exponents_for(module, gamma, work_prec):
-            keys.append((gamma.coords, n))
+            keys.append((gamma, n))
     acc = _RankAccumulator()
     picked = []
     for idx in candidate_indices(module, m_cutoff):
@@ -235,15 +235,15 @@ def weight3_cyclic(n_disc: int, prec) -> QExpansion:
     module, gen = cyclic_module(n_disc)
     coeffs = {}
     for g in range(1, (n_disc + 1) // 2):
-        gamma = module.element(tuple(g * c for c in gen.coords))
+        gamma = module.element(tuple(g * c for c in gen))
         base = _mod1(Fraction(g * g, n_disc))
         n = base if base else Fraction(1)
         while n < prec:
             val = _weight3_hol_part(n, g, n_disc) + unit_orbit_correction(n, g, n_disc)
             if val:
                 neg = module.neg(gamma)
-                coeffs[(gamma.coords, n)] = val
-                coeffs[(neg.coords, n)] = -val
+                coeffs[(gamma, n)] = val
+                coeffs[(neg, n)] = -val
             n += 1
     return QExpansion(module, Fraction(3), prec, coeffs)
 

@@ -10,7 +10,6 @@ above 14 record the residual at k'.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,24 +56,18 @@ def dim_antisymmetric(module: FiniteQuadraticModule, weight) -> DimensionReport:
     if parity.denominator != 1 or int(parity) % 4 != 2:
         raise WrongParityError(
             "weight %s is not antisymmetric for signature %d" % (k, sig))
-    b1 = Fraction(0)
+    b1 = sum((sawtooth(module.qvalue(g)) for g in module.elements()), Fraction(0))
     b2 = Fraction(0)
     alpha4 = 0
     d_pairs = 0
-    seen = set()
-    for gamma in module.elements():
+    for gamma in module.orbit_reps():
         q = module.qvalue(gamma)
-        b1 += sawtooth(q)
-        neg = module.neg(gamma)
-        if neg == gamma:
+        if module.is_self_negative(gamma):
             b2 += sawtooth(q)
         else:
-            rep = min(gamma.coords, neg.coords)
-            if rep not in seen:
-                seen.add(rep)
-                d_pairs += 1
-                if q == 0:
-                    alpha4 += 1
+            d_pairs += 1
+            if q == 0:
+                alpha4 += 1
     order = module.order
     g2 = gauss_sum(2, module)
     g1 = gauss_sum(1, module)

@@ -34,8 +34,8 @@ from functools import lru_cache
 from .errors import (InputError, NumericInconsistencyError, PrecisionError,
                      UnsupportedWeightError)
 from .localdensity import DensityEngine
-from .quadmod import (EvenLattice, FiniteQuadraticModule, FqmElement, _mod1,
-                      discriminant_module, weil_matrices)
+from .quadmod import (EvenLattice, FiniteQuadraticModule, _mod1,
+                      discriminant_module, require_integers, weil_matrices)
 from . import _linalg
 
 # -- elementary number theory ----------------------------------------------
@@ -266,8 +266,7 @@ class QExpansion:
     coeffs: dict = field(default_factory=dict)
 
     def coefficient(self, gamma, n) -> Fraction:
-        coords = gamma.coords if isinstance(gamma, FqmElement) else tuple(gamma)
-        return self.coeffs.get((coords, Fraction(n)), Fraction(0))
+        return self.coeffs.get((tuple(gamma), Fraction(n)), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
@@ -277,8 +276,6 @@ class QExpansion:
         return QExpansion(self.module, self.weight, self.prec,
                           {k: a * v for k, v in self.coeffs.items()})
 
-    __rmul__ = scale
-
     def common_denominator(self) -> int:
         out = 1
         for v in self.coeffs.values():
@@ -286,15 +283,14 @@ class QExpansion:
         return out
 
     def component(self, gamma):
-        coords = gamma.coords if isinstance(gamma, FqmElement) else tuple(gamma)
-        items = [(n, v) for (g, n), v in self.coeffs.items() if g == coords and v]
+        gamma = tuple(gamma)
+        items = [(n, v) for (g, n), v in self.coeffs.items() if g == gamma and v]
         return sorted(items)
 
     def evaluate(self, tau: complex):
         """Value of the truncated series at tau: a list, components in lex order."""
-        elems = list(self.module.elements())
-        index = {g.coords: i for i, g in enumerate(elems)}
-        out = [0j] * len(elems)
+        index = {g: i for i, g in enumerate(self.module.elements())}
+        out = [0j] * len(index)
         for (g, n), v in self.coeffs.items():
             out[index[g]] += float(v) * cmath.exp(2j * cmath.pi * float(n) * tau)
         return out
@@ -328,10 +324,12 @@ class QExpansion:
             lattice = EvenLattice(tuple(tuple(r) for r in data["gram"]))
             coeffs = {}
             for item in data["coeffs"]:
-                key = (tuple(int(x) for x in item["gamma"]), Fraction(item["n"]))
-                coeffs[key] = Fraction(item["c"])
+                gamma = tuple(item["gamma"])
+                require_integers(gamma, "gamma entries")
+                coeffs[(gamma, Fraction(item["n"]))] = Fraction(item["c"])
             weight, prec = Fraction(data["weight"]), Fraction(data["prec"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
             raise InputError("bad q-expansion (%s: %s)"
                              % (type(exc).__name__, exc)) from None
         module = discriminant_module(lattice)
@@ -400,7 +398,7 @@ def eisenstein_qexp(lattice: EvenLattice, weight, prec,
 
     coeffs = {}
     if prec > 0:
-        coeffs[(module.zero().coords, Fraction(0))] = Fraction(1)
+        coeffs[(module.zero(), Fraction(0))] = Fraction(1)
 
     for gamma in module.orbit_reps():
         gvec = module.dual_vector(gamma)
@@ -409,8 +407,8 @@ def eisenstein_qexp(lattice: EvenLattice, weight, prec,
             dens = {p: engine.density(p, n, gvec).value for p in bad}
             val = _assemble(weight, eps, det_m, dets, bad, dens, n)
             if val:
-                coeffs[(gamma.coords, n)] = val
-                coeffs[(neg.coords, n)] = val
+                coeffs[(gamma, n)] = val
+                coeffs[(neg, n)] = val
     return QExpansion(module, weight, prec, coeffs)
 
 

@@ -29,6 +29,14 @@ def _mod1(x: Fraction) -> Fraction:
     return x - Fraction(math.floor(x))
 
 
+def require_integers(values, what: str):
+    """Raise InputError unless every value is an integer; bools are not."""
+    bad = [x for x in values
+           if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
+    if bad:
+        raise InputError("%s must be integers, got %r" % (what, bad[0]))
+
+
 @dataclass(frozen=True)
 class EvenLattice:
     """Nondegenerate even lattice given by its integer Gram matrix."""
@@ -36,10 +44,7 @@ class EvenLattice:
     gram: tuple
 
     def __post_init__(self):
-        bad = [x for row in self.gram for x in row
-               if isinstance(x, bool) or not isinstance(x, numbers.Integral)]
-        if bad:
-            raise InputError("Gram entries must be integers, got %r" % (bad[0],))
+        require_integers([x for row in self.gram for x in row], "Gram entries")
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
@@ -63,33 +68,19 @@ class EvenLattice:
 
     def qvalue(self, v) -> Fraction:
         """Q(v) = v^T G v / 2 for a rational vector v in basis coordinates."""
-        v = [Fraction(x) for x in v]
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                total += v[i] * self.gram[i][j] * v[j]
-        return total / 2
+        return self.pairing(v, v) / 2
 
     def pairing(self, v, w) -> Fraction:
         v = [Fraction(x) for x in v]
         w = [Fraction(x) for x in w]
-        return sum(v[i] * self.gram[i][j] * w[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return sum((v[i] * self.gram[i][j] * w[j]
+                    for i in range(self.rank) for j in range(self.rank)),
+                   Fraction(0))
 
     def in_dual(self, v) -> bool:
         """v lies in the dual lattice iff G v is integral."""
         gv = _linalg.mat_vec(self.gram, [Fraction(x) for x in v])
         return all(x.denominator == 1 for x in map(Fraction, gv))
-
-
-@dataclass(frozen=True)
-class FqmElement:
-    """Element of a finite quadratic module in generator coordinates."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
 
 
 class FiniteQuadraticModule:
@@ -98,6 +89,8 @@ class FiniteQuadraticModule:
     Generators come from the Smith normal form of the Gram matrix; each
     generator is sign-normalized so that its canonical dual representative
     in [0,1)^n is the lexicographically larger of the two choices +-w.
+    An element is its tuple of generator coordinates, each reduced mod the
+    order of its generator.
     """
 
     def __init__(self, lattice: EvenLattice):
@@ -131,66 +124,57 @@ class FiniteQuadraticModule:
 
     # -- elements ----------------------------------------------------------
 
-    def zero(self) -> FqmElement:
-        return FqmElement(tuple(0 for _ in self.generator_orders))
+    def zero(self) -> tuple:
+        return (0,) * len(self.generator_orders)
 
-    def element(self, coords) -> FqmElement:
-        return FqmElement(tuple(c % d for c, d in zip(coords, self.generator_orders)))
+    def element(self, coords) -> tuple:
+        return tuple(c % d for c, d in zip(coords, self.generator_orders))
 
     def elements(self):
-        for coords in itertools.product(*(range(d) for d in self.generator_orders)):
-            yield FqmElement(coords)
+        return itertools.product(*(range(d) for d in self.generator_orders))
 
-    def neg(self, gamma: FqmElement) -> FqmElement:
-        return self.element(tuple(-c for c in gamma.coords))
+    def neg(self, gamma) -> tuple:
+        return self.element(tuple(-c for c in gamma))
 
-    def add(self, a: FqmElement, b: FqmElement) -> FqmElement:
-        return self.element(tuple(x + y for x, y in zip(a.coords, b.coords)))
+    def add(self, a, b) -> tuple:
+        return self.element(tuple(x + y for x, y in zip(a, b)))
 
-    def is_self_negative(self, gamma: FqmElement) -> bool:
+    def is_self_negative(self, gamma) -> bool:
         return self.neg(gamma) == gamma
 
-    def orbit_rep(self, gamma: FqmElement) -> FqmElement:
-        """Lexicographically smaller of gamma, -gamma."""
-        neg = self.neg(gamma)
-        return gamma if gamma.coords <= neg.coords else neg
-
     def orbit_reps(self):
-        seen = set()
+        """The lexicographically smaller of gamma, -gamma, once per pair."""
         for gamma in self.elements():
-            rep = self.orbit_rep(gamma)
-            if rep.coords not in seen:
-                seen.add(rep.coords)
-                yield rep
+            if gamma <= self.neg(gamma):
+                yield gamma
 
-    def dual_vector(self, gamma: FqmElement):
+    def dual_vector(self, gamma):
         """Canonical dual-lattice representative of gamma (may be any coset rep)."""
         n = self.lattice.rank
         out = [Fraction(0)] * n
-        for c, w in zip(gamma.coords, self.to_dual):
+        for c, w in zip(gamma, self.to_dual):
             for r in range(n):
                 out[r] += c * w[r]
         return tuple(out)
 
-    def element_order(self, gamma: FqmElement) -> int:
+    def element_order(self, gamma) -> int:
         out = 1
-        for c, d in zip(gamma.coords, self.generator_orders):
+        for c, d in zip(gamma, self.generator_orders):
             g = math.gcd(c, d)
             out = out * (d // g) // math.gcd(out, d // g)
         return out
 
     # -- quadratic form ----------------------------------------------------
 
-    def qvalue(self, gamma: FqmElement) -> Fraction:
+    def qvalue(self, c) -> Fraction:
         total = Fraction(0)
-        c = gamma.coords
         for i in range(len(c)):
             total += c[i] * c[i] * self.q_matrix[i][i]
             for j in range(i + 1, len(c)):
                 total += c[i] * c[j] * self.q_matrix[i][j]
         return _mod1(total)
 
-    def bilinear(self, a: FqmElement, b: FqmElement) -> Fraction:
+    def bilinear(self, a, b) -> Fraction:
         return _mod1(self.qvalue(self.add(a, b)) - self.qvalue(a) - self.qvalue(b))
 
     def __eq__(self, other):
@@ -230,42 +214,35 @@ def enlarge_lattice(lattice: EvenLattice, m: Fraction, beta) -> EvenLattice:
         raise IndexMismatchError("index m must be positive")
     if not lattice.in_dual(beta):
         raise IndexMismatchError("beta is not in the dual lattice")
-    qbeta = lattice.qvalue(beta)
-    corner = qbeta + m
+    corner = lattice.qvalue(beta) + m
     if corner.denominator != 1:
         raise IndexMismatchError("m + Q(beta) must be integral")
-    n = lattice.rank
-    gbeta = _linalg.mat_vec([list(r) for r in lattice.gram], list(beta)) if n else []
-    gbeta = [Fraction(x) for x in gbeta]
-    if any(x.denominator != 1 for x in gbeta):
-        raise IndexMismatchError("beta is not in the dual lattice")
-    rows = []
-    for i in range(n):
-        rows.append(tuple(lattice.gram[i]) + (int(gbeta[i]),))
-    rows.append(tuple(int(x) for x in gbeta) + (2 * int(corner),))
+    gbeta = tuple(int(x) for x in _linalg.mat_vec(lattice.gram, beta))
+    rows = [row + (b,) for row, b in zip(lattice.gram, gbeta)]
+    rows.append(gbeta + (2 * int(corner),))
     return EvenLattice(tuple(rows))
 
 
-def dual_coset(lattice: EvenLattice, v) -> FqmElement:
+def dual_coset(lattice: EvenLattice, v) -> tuple:
     """Canonical coordinates of v + L in the discriminant group."""
     return module_dual_coset(discriminant_module(lattice), v)
 
 
-def module_dual_coset(module: FiniteQuadraticModule, v) -> FqmElement:
+def module_dual_coset(module: FiniteQuadraticModule, v) -> tuple:
     v = [Fraction(x) for x in v]
     lat = module.lattice
     if len(v) != lat.rank:
         raise NotInDualError("wrong vector length")
     if not lat.in_dual(v):
         raise NotInDualError("vector does not pair integrally with the lattice")
-    t = _linalg.mat_vec([list(r) for r in module._vinv], v)
+    t = _linalg.mat_vec(module._vinv, v)
     coords = []
     for i in module._kept:
         c = Fraction(t[i]) * module._all_orders[i]
         if c.denominator != 1:
             raise NotInDualError("vector does not lie in the dual lattice")
         coords.append(int(c) % module._all_orders[i])
-    return FqmElement(tuple(coords))
+    return tuple(coords)
 
 
 def cyclic_module(n_disc: int):

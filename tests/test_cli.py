@@ -1,3 +1,5 @@
+import ast
+import glob
 import hashlib
 import json
 import os
@@ -110,8 +112,11 @@ def test_stdout_pinned_for_paths_the_benchmark_never_runs(gram_file, capsys):
     # layer still in Fraction arithmetic; the cusp-basis ones at 6892454,
     # when every picked series was computed a second time; the [[-502]]
     # series, 251 L-values over 131 characters of conductor up to 993, at
-    # dcc2632, when each L-value was summed afresh with kronecker at every a
+    # dcc2632, when each L-value was summed afresh with kronecker at every a;
+    # fqm-info and dim at dee712e, before elements were coordinate tuples
     m12 = gram_file("m12.json", [[-12]])
+    det16 = gram_file("det16.json", [[0, 0, 2], [0, -4, 0], [2, 0, 0]])
+    m118 = gram_file("m118.json", [[-118]])
     b8 = gram_file("b8.json", [[2, 1], [1, -8]])
     m6 = gram_file("m6.json", [[-6]])
     m502 = gram_file("m502.json", [[-502]])
@@ -132,6 +137,10 @@ def test_stdout_pinned_for_paths_the_benchmark_never_runs(gram_file, capsys):
             "186a7195594cffe73f3126254fcd977331571654f9de322405e649c605220d75",
         "--format table class-identity --remark12 --n-max 50":
             "c5a29e5848f07b24d22ec485956fc4507d307c17b3f0ed81eaf9bd5a0cd1b9ac",
+        "fqm-info --gram %s" % det16:
+            "f27210cf5d9333267126afc2b63334aefbcdf9757c3f85b42ff09fd8ed80fd10",
+        "dim --gram %s --weight 15/2" % m118:
+            "4f2f488dd85a5e1a49a5d8de0a1889d802b86beaa99f8289b8ea086573ea32af",
     }
     for argv, digest in pinned.items():
         code, out, _ = run_cli(capsys, argv.split())
@@ -251,6 +260,14 @@ def test_exit_codes(gram_file, capsys, tmp_path):
                                     "--bound", "8"])
     assert code == 2
     assert json.loads(err)["error"] == "InputError"
+    # 2: an Infinity in the lift input (json reads it as a float)
+    inf_c = tmp_path / "inf_c.json"
+    inf_c.write_text('{"gram": [[-4]], "weight": "11/2", "prec": "2/1", '
+                     '"coeffs": [{"gamma": [3], "n": "1/8", "c": Infinity}]}')
+    code, _, err = run_cli(capsys, ["theta-lift", "--gram", s2, "--input",
+                                    str(inf_c), "--weight", "5", "--bound", "8"])
+    assert code == 2
+    assert json.loads(err)["error"] == "InputError"
     # 2: a cyclic weight-3 family with N < 1
     for n_disc in ("-3", "0"):
         code, _, err = run_cli(capsys, ["weight3", "--n", n_disc, "--prec", "4"])
@@ -303,6 +320,37 @@ def test_import_leaves_numpy_out():
         env=dict(os.environ, PYTHONPATH=os.path.normpath(src)),
         capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; names in __all__ count as read."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted("%s:%d %s" % (os.path.basename(path), line, name)
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    paths = sorted(glob.glob(os.path.join(root, "src", "weilforms", "*.py"))
+                   + glob.glob(os.path.join(root, "tests", "*.py")))
+    assert len(paths) > 20
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, unused
 
 
 def test_cache_cold_and_warm_identical(gram_file, capsys, tmp_path):

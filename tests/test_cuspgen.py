@@ -192,7 +192,7 @@ class _CosetEcho:
         self.module = module
 
     def coefficient(self, w, e):
-        return (w.coords, e)
+        return (w, e)
 
 
 # the Gram matrices of the benchmark's cusp_cold jobs

@@ -89,6 +89,24 @@ def _unreduced_dim_m(module, rep):
     return round(total.real)
 
 
+def _seen_set_invariants(module):
+    """b1, b2, d_pairs and alpha4~ read by one pass with a set of min(g, -g)."""
+    b1 = b2 = Fraction(0)
+    alpha4 = d_pairs = 0
+    seen = set()
+    for gamma in module.elements():
+        q = module.qvalue(gamma)
+        b1 += sawtooth(q)
+        neg = module.neg(gamma)
+        if neg == gamma:
+            b2 += sawtooth(q)
+        elif min(gamma, neg) not in seen:
+            seen.add(min(gamma, neg))
+            d_pairs += 1
+            alpha4 += q == 0
+    return b1, b2, d_pairs, alpha4
+
+
 def test_period_twelve_reduction_matches_the_unreduced_formula():
     # dim_m above weight 14 is read at k - 12 j plus j d_pairs; the float
     # formula at k itself agrees at every antisymmetric weight up to 60
@@ -105,10 +123,12 @@ def test_period_twelve_reduction_matches_the_unreduced_formula():
             modules.append(discriminant_module(EvenLattice(tuple(map(tuple, gram)))))
     checked = 0
     for module in modules:
+        oracle = _seen_set_invariants(module)
         for k in (Fraction(h, 2) for h in range(5, 121)):
             if (2 * k + module.signature_mod8) % 4 != 2:
                 continue
             rep = dim_antisymmetric(module, k)
+            assert (rep.b1, rep.b2, rep.d_pairs, rep.alpha4_tilde) == oracle
             assert rep.dim_m == _unreduced_dim_m(module, rep), (module, k)
             checked += k > 14
     assert checked > 150

@@ -12,7 +12,7 @@ from weilforms.eisenstein import (KroneckerCharacter, QExpansion, eisenstein_qex
                                   generalized_bernoulli, kronecker,
                                   modularity_residual)
 from weilforms.errors import InputError, UnsupportedWeightError
-from weilforms.quadmod import EvenLattice, discriminant_module, module_dual_coset
+from weilforms.quadmod import EvenLattice, module_dual_coset
 
 
 def sigma(n, k):
@@ -260,6 +260,19 @@ def test_from_json_rejects_gamma_outside_group():
         data["coeffs"][0]["gamma"] = gamma
         with pytest.raises(InputError, match="not in the discriminant group"):
             QExpansion.from_json_dict(data)
+    # a coordinate that is not a JSON integer is refused, not truncated
+    for gamma in ([1.5], [True], [1.0], ["1"]):
+        data["coeffs"][0]["gamma"] = gamma
+        with pytest.raises(InputError, match="gamma entries must be integers"):
+            QExpansion.from_json_dict(data)
+    data["coeffs"][0]["gamma"] = [1]
+    for item, key in ((data["coeffs"][0], "c"), (data["coeffs"][0], "n"),
+                      (data, "weight"), (data, "prec")):
+        saved, item[key] = item[key], float("inf")
+        with pytest.raises(InputError, match="OverflowError"):
+            QExpansion.from_json_dict(data)
+        item[key] = saved
+    assert QExpansion.from_json_dict(data).coefficient((1,), Fraction(1, 4)) == 3
 
 
 E6_CARTAN = [[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
@@ -343,7 +356,7 @@ def test_siegel_weil_class_number_one(gram, weight, root_system, roots, p,
                    for gamma in _dual_cosets(root_system))
     assert theta[0][:2] == [(0, 1), (1, roots)]
     eis = sorted(sorted((n, c) for (g, n), c in E.coeffs.items()
-                        if g == elem.coords and c)
+                        if g == elem and c)
                  for elem in E.module.elements())
     assert eis == theta
 
@@ -397,7 +410,7 @@ def test_cohen_numbers(gram, weight):
             n += 1
         while n < prec:
             want = _cohen_h(r, int(4 * n)) / zeta
-            assert E.coefficient(gamma, n) == want, (gram, weight, gamma.coords, n)
+            assert E.coefficient(gamma, n) == want, (gram, weight, gamma, n)
             nonzero += want != 0
             n += 1
     assert nonzero >= 70

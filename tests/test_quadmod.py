@@ -88,11 +88,11 @@ def test_weil_matrix_relations(gram):
     # S^2 sends e_gamma to (-1)^(sig/2) e_(-gamma) for even signature
     if A.signature_mod8 % 2 == 0:
         elems = list(A.elements())
-        index = {g.coords: i for i, g in enumerate(elems)}
+        index = {g: i for i, g in enumerate(elems)}
         s2 = s @ s
         sign = (-1) ** (A.signature_mod8 // 2)
         for j, g in enumerate(elems):
-            i = index[A.neg(g).coords]
+            i = index[A.neg(g)]
             want = np.zeros(n)
             want[i] = sign
             assert np.max(np.abs(s2[:, j] - want)) < 1e-10
@@ -105,6 +105,8 @@ def test_milgram_modulus_random_modules():
                             math.sin(2 * math.pi * float(A.qvalue(g))))
                     for g in A.elements())
         assert abs(abs(total) - math.sqrt(A.order)) < 1e-6
+        # one orbit representative per pair {g, -g}: the smaller, ascending
+        assert list(A.orbit_reps()) == sorted({min(g, A.neg(g)) for g in A.elements()})
 
 
 def _gauss_sum_signature(A):
