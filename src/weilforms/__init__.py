@@ -15,8 +15,7 @@ from .eisenstein import (QExpansion, eisenstein_qexp, generalized_bernoulli,
 from .errors import WeilformsError
 from .localdensity import DensityCache, LocalDensityRecord, local_density
 from .quadmod import (EvenLattice, FiniteQuadraticModule, cyclic_module,
-                      discriminant_module, dual_coset, enlarge_lattice,
-                      weil_matrices)
+                      discriminant_module, enlarge_lattice, weil_matrices)
 from .thetalift import (LorentzianGram, OrthogonalExpansion, doi_naganuma,
                         theta_lift)
 
@@ -26,7 +25,7 @@ __all__ = [
     "KroneckerCharacter", "LocalDensityRecord", "LorentzianGram",
     "OrthogonalExpansion", "QExpansion", "WeilformsError",
     "cusp_basis", "cyclic_module", "dim_antisymmetric", "discriminant_module",
-    "doi_naganuma", "dual_coset", "eisenstein_qexp", "enlarge_lattice",
+    "doi_naganuma", "eisenstein_qexp", "enlarge_lattice",
     "gauss_sum", "generalized_bernoulli", "hurwitz", "ideals_of_norm_q5",
     "local_density", "modularity_residual", "prop10_check",
     "r_series", "remark12_check", "sawtooth", "theta_lift",

@@ -20,6 +20,12 @@ def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
+def integral_image(a, v):
+    """a v as a tuple of ints, or None if an entry is not an integer."""
+    out = [Fraction(x) for x in mat_vec(a, v)]
+    return tuple(map(int, out)) if all(x.denominator == 1 for x in out) else None
+
+
 def _pivots(mat):
     """Diagonal of a symmetric elimination of `mat`, in Fractions.
 

@@ -57,6 +57,9 @@ def parse_beta(module, text: str):
     """Generator coordinates ("3" or "1,2") or a dual vector ("3/4" forms)."""
     parts = [p.strip() for p in text.split(",")]
     if any("/" in p for p in parts):
+        if len(parts) != module.lattice.rank:
+            raise InputError("beta needs %d dual-vector entries"
+                             % module.lattice.rank)
         return module_dual_coset(module, tuple(_parse_fraction(p) for p in parts))
     try:
         coords = tuple(int(p) for p in parts)

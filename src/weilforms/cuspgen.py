@@ -4,13 +4,16 @@ The cusp form attached to an index (m, beta) is assembled from the
 Eisenstein series of the enlarged lattice: the coefficient of q^n e_gamma
 is (1/2m) times the sum over r in Z - <gamma, beta> with r^2 <= 4mn of
 r times the enlarged-lattice Eisenstein coefficient at exponent n - r^2/4m
-and coset (gamma - (r/2m) beta, r/2m), which is affine in r.  Spanning sets
-iterate indices until the exact coefficient rank reaches the dimension of
-the cusp space, and keep the series they ranked.
+and coset (gamma - (r/2m) beta, r/2m), which is affine in r: one pass per
+gamma reads the terms of every n.  Spanning sets iterate indices until the
+exact coefficient rank reaches the dimension of the cusp space; each
+candidate series is built once, at the asked precision, and the ranked ones
+are kept.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,9 +22,8 @@ from .classnum import twelve_h, unit_orbit_correction
 from .dimensions import dim_antisymmetric
 from .eisenstein import (QExpansion, eisenstein_qexp, exponents_for,
                          hyperbolic_padding)
-from .errors import (ExhaustionError, IndexMismatchError, InputError,
-                     UnsupportedModuleError, UnsupportedWeightError,
-                     WrongParityError)
+from .errors import (ExhaustionError, InputError, UnsupportedModuleError,
+                     UnsupportedWeightError, WrongParityError)
 from .quadmod import (EvenLattice, _mod1, cyclic_module,
                       discriminant_module, enlarge_lattice, module_dual_coset)
 
@@ -35,17 +37,17 @@ class CuspIndex:
         object.__setattr__(self, "m", Fraction(self.m))
 
 
-def jacobi_coefficients(module, idx: CuspIndex, gamma, n, eis):
-    """The terms (r, c) of the coefficient of q^n e_gamma, r ascending.
+def jacobi_coefficients(module, idx: CuspIndex, gamma, eis):
+    """The terms (n, r, c) of every coefficient of e_gamma below eis.prec.
 
-    c is the enlarged-lattice coefficient at exponent n - r^2/4m and coset
-    w(r) = (gamma, 0) + r delta, delta = (-beta/2m, 1/2m).  The enlarged
-    Gram matrix maps delta to the last unit vector, so delta is dual and
-    w(r) = w(r0) + (r - r0) delta with r - r0 an integer.  Coset coordinates
-    are linear mod the generator orders, so two `module_dual_coset` calls,
-    for w(r0) and delta, give the coset of every term.
+    Sorted by n, then r.  c is the enlarged-lattice coefficient at exponent
+    n - r^2/4m and coset w(r) = (gamma, 0) + r delta, delta = (-beta/2m,
+    1/2m).  The enlarged Gram matrix maps delta to the last unit vector, so
+    delta is dual and w(r) = w(r0) + (r - r0) delta with r - r0 an integer.
+    Coset coordinates are linear mod the generator orders, so two
+    `module_dual_coset` calls, for w(r0) and delta, give the coset of every
+    term of every n.
     """
-    n = Fraction(n)
     m = idx.m
     emod = eis.module
     delta = tuple(-bv / (2 * m) for bv in module.dual_vector(idx.beta)) + (1 / (2 * m),)
@@ -54,37 +56,25 @@ def jacobi_coefficients(module, idx: CuspIndex, gamma, n, eis):
         gv + r0 * dv for gv, dv in zip(module.dual_vector(gamma) + (0,), delta)))
     step = module_dual_coset(emod, delta)
     out = []
-    for r in coset_window(r0, 4 * m * n):
-        k = int(r - r0)
-        w = emod.element(tuple(a + k * d for a, d in zip(base, step)))
-        out.append((r, eis.coefficient(w, n - r * r / (4 * m))))
+    for n in exponents_for(module, gamma, eis.prec):
+        for r in coset_window(r0, 4 * m * n):
+            k = int(r - r0)
+            w = emod.element(tuple(a + k * d for a, d in zip(base, step)))
+            out.append((n, r, eis.coefficient(w, n - r * r / (4 * m))))
     return out
 
 
 def coset_window(r0: Fraction, bound: Fraction):
-    """All r in r0 + Z with r^2 <= bound, ascending."""
-    out = []
+    """All r in r0 + Z with r^2 <= bound, ascending.
+
+    With r0 = a/q, r = (a + q t)/q for an integer t, and r^2 <= bound
+    exactly when |a + q t| <= isqrt(floor(bound q^2)).
+    """
     if bound < 0:
-        return out
-    ab = bound.numerator * bound.denominator
-    s = Fraction(math.isqrt(ab) + 1, bound.denominator)  # s >= sqrt(bound)
-    t = math.ceil(-r0 - s)
-    r = r0 + t
-    while r * r > bound:
-        r += 1
-        if r > s:
-            return out
-    while r * r <= bound:
-        out.append(r)
-        r += 1
-    return out
-
-
-def _validate_index(module, idx: CuspIndex):
-    if idx.m <= 0:
-        raise IndexMismatchError("index m must be positive")
-    if _mod1(idx.m + module.qvalue(idx.beta)) != 0:
-        raise IndexMismatchError("m + Q(beta) must be integral")
+        return []
+    a, q = r0.numerator, r0.denominator
+    s = math.isqrt(math.floor(bound * q * q))
+    return [Fraction(a + q * t, q) for t in range(-((s + a) // q), (s - a) // q + 1)]
 
 
 def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
@@ -93,29 +83,29 @@ def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
     weight = Fraction(weight)
     prec = Fraction(prec)
     module = discriminant_module(lattice)
-    _validate_index(module, idx)
+    m = idx.m
+    # checks m > 0 and m + Q(beta) integral before the weight
+    enlarged = enlarge_lattice(lattice, m, module.dual_vector(idx.beta))
     parity = 2 * weight + module.signature_mod8
     if parity.denominator != 1 or int(parity) % 4 != 2:
         raise WrongParityError("weight %s is not antisymmetric for this module"
                                % weight)
     if weight < 4:
         raise UnsupportedWeightError("the Eisenstein route needs weight >= 4")
-    m = idx.m
-    enlarged = enlarge_lattice(lattice, m, module.dual_vector(idx.beta))
     eis_weight = weight - Fraction(3, 2)
     hyperbolic_padding(enlarged, eis_weight)
-    reps = [g for g in module.orbit_reps() if not module.is_self_negative(g)]
+    reps = list(module.pair_reps())
     if not reps:
         # every element is its own negative: no coefficient reads the series
         return QExpansion(module, weight, prec, {})
     eis = eisenstein_qexp(enlarged, eis_weight, prec, cache=cache)
     coeffs = {}
     for gamma in reps:
-        for n in exponents_for(module, gamma, prec):
-            terms = jacobi_coefficients(module, idx, gamma, n, eis)
-            total = sum((r * c for r, c in terms), Fraction(0)) / (2 * m)
+        neg = module.neg(gamma)
+        terms = jacobi_coefficients(module, idx, gamma, eis)
+        for n, group in itertools.groupby(terms, key=lambda term: term[0]):
+            total = sum((r * c for _, r, c in group), Fraction(0)) / (2 * m)
             if total:
-                neg = module.neg(gamma)
                 coeffs[(gamma, n)] = total
                 coeffs[(neg, n)] = -total
     return QExpansion(module, weight, prec, coeffs)
@@ -124,9 +114,7 @@ def r_series(lattice: EvenLattice, weight, idx: CuspIndex, prec,
 def candidate_indices(module, m_cutoff):
     """Index iteration order: m ascending, beta by orbit-rep lex order."""
     out = []
-    for beta in module.orbit_reps():
-        if module.is_self_negative(beta):
-            continue
+    for beta in module.pair_reps():
         m = _mod1(-module.qvalue(beta))
         if m == 0:
             m = Fraction(1)
@@ -168,8 +156,10 @@ def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None):
     Iterates indices until the exact coefficient rank reaches the cusp-space
     dimension; retries once with doubled working precision and a larger
     index cutoff before raising ExhaustionError.  Truncation can only lower
-    the rank, so stopping at the target dimension is rigorous.  Up to the
-    working precision the ranked series are returned, truncated: a
+    the rank, so stopping at the target dimension is rigorous.  Each
+    candidate is built once, at the larger of the working and the asked
+    precision, and ranked on its coefficients below the working precision.
+    The ranked series are returned truncated to the asked precision: a
     coefficient at n reads only Eisenstein coefficients at exponents <= n,
     whose values do not depend on the precision.
     """
@@ -181,43 +171,25 @@ def cusp_basis(lattice: EvenLattice, weight, prec=None, cache=None):
     work_prec = Fraction(math.ceil(weight / 12) + 2)
     m_cutoff = Fraction(target + 3)
     for _ in range(2):
-        picked = _cusp_basis_attempt(lattice, module, weight, target, work_prec,
-                                     m_cutoff, cache)
-        if picked is not None:
-            break
+        out_prec = work_prec if prec is None else Fraction(prec)
+        keys = [(gamma, n) for gamma in module.pair_reps()
+                for n in exponents_for(module, gamma, work_prec)]
+        acc = _RankAccumulator()
+        picked = []
+        for idx in candidate_indices(module, m_cutoff):
+            series = r_series(lattice, weight, idx, max(work_prec, out_prec),
+                              cache=cache)
+            if acc.add([series.coefficient(g, n) for (g, n) in keys]):
+                picked.append((idx, QExpansion(
+                    module, weight, out_prec,
+                    {key: c for key, c in series.coeffs.items() if key[1] < out_prec})))
+            if acc.rank == target:
+                return picked
         work_prec *= 2
         m_cutoff += 2
-    else:
-        raise ExhaustionError(
-            "rank %d not reached for weight %s (cutoff m <= %s, prec %s)"
-            % (target, weight, m_cutoff, work_prec))
-    out_prec = Fraction(prec) if prec is not None else work_prec
-    if out_prec <= work_prec:
-        return [(idx, QExpansion(module, weight, out_prec,
-                                 {key: c for key, c in series.coeffs.items()
-                                  if key[1] < out_prec}))
-                for idx, series in picked]
-    return [(idx, r_series(lattice, weight, idx, out_prec, cache=cache))
-            for idx, _ in picked]
-
-
-def _cusp_basis_attempt(lattice, module, weight, target, work_prec, m_cutoff,
-                        cache):
-    keys = []
-    for gamma in module.orbit_reps():
-        if module.is_self_negative(gamma):
-            continue
-        for n in exponents_for(module, gamma, work_prec):
-            keys.append((gamma, n))
-    acc = _RankAccumulator()
-    picked = []
-    for idx in candidate_indices(module, m_cutoff):
-        series = r_series(lattice, weight, idx, work_prec, cache=cache)
-        if acc.add([series.coefficient(g, n) for (g, n) in keys]):
-            picked.append((idx, series))
-        if acc.rank == target:
-            return picked
-    return None
+    raise ExhaustionError(
+        "rank %d not reached for weight %s (cutoff m <= %s, prec %s)"
+        % (target, weight, m_cutoff, work_prec))
 
 
 def weight3_cyclic(n_disc: int, prec) -> QExpansion:

@@ -326,8 +326,13 @@ class QExpansion:
             for item in data["coeffs"]:
                 gamma = tuple(item["gamma"])
                 require_integers(gamma, "gamma entries")
-                coeffs[(gamma, Fraction(item["n"]))] = Fraction(item["c"])
-            weight, prec = Fraction(data["weight"]), Fraction(data["prec"])
+                key = (gamma, _json_rational(item, "n"))
+                if key in coeffs:
+                    raise InputError("repeated coefficient at gamma %s, n %s"
+                                     % (list(gamma), key[1]))
+                coeffs[key] = _json_rational(item, "c")
+            weight = _json_rational(data, "weight")
+            prec = _json_rational(data, "prec")
         except (KeyError, TypeError, ValueError, ZeroDivisionError,
                 OverflowError) as exc:
             raise InputError("bad q-expansion (%s: %s)"
@@ -339,6 +344,19 @@ class QExpansion:
                 raise InputError("gamma %s is not in the discriminant group %s"
                                  % (list(g), list(orders)))
         return cls(module, weight, prec, coeffs).validate()
+
+
+def _json_rational(data, key) -> Fraction:
+    """data[key], which must be a JSON string or integer, as a Fraction.
+
+    Fraction() runs first, so an Infinity raises OverflowError; a bool or
+    any other float raises InputError.
+    """
+    value = data[key]
+    out = Fraction(value)
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InputError("%s must be a string or an integer, got %r" % (key, value))
+    return out
 
 
 def _frs(x: Fraction) -> str:

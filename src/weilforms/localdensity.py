@@ -393,21 +393,17 @@ class DensityEngine:
             self._decomp[p] = _padic_block_decomposition(self.core, p)
         return self._decomp[p]
 
-    def _check_dual(self, gamma):
-        # the count is well-defined on L/p^nu L only for gamma in the dual
-        for row in self.core:
-            pairing = sum(Fraction(a) * Fraction(g) for a, g in zip(row, gamma))
-            if pairing.denominator != 1:
-                raise NotInDualError("gamma does not pair integrally with the lattice")
-
     def _plan(self, p, gamma):
         """Split blocks into enumerated (fractional) and closed-form parts."""
         key = (p, tuple(gamma))
         if key in self._plans:
             return self._plans[key]
+        gamma = [Fraction(x) for x in gamma]
+        # the count is well-defined on L/p^nu L only for gamma in the dual
+        if _linalg.integral_image(self.core, gamma) is None:
+            raise NotInDualError("gamma does not pair integrally with the lattice")
         blocks, binv = self._blocks(p)
-        shifts = _linalg.mat_vec([list(r) for r in binv],
-                                 [Fraction(x) for x in gamma]) if self.core else []
+        shifts = _linalg.mat_vec([list(r) for r in binv], gamma) if self.core else []
         shifts = [_fractional_part(Fraction(s), p) for s in shifts]
         enum_polys = []
         measured = []
@@ -428,11 +424,11 @@ class DensityEngine:
                                                a * s + b * t, b * s + c * t,
                                                a / 2, b, c / 2)))
                 pos += 2
-        self._plans[key] = enum_polys, measured
-        return enum_polys, measured
+        self._plans[key] = enum_polys, tuple(measured)
+        return self._plans[key]
 
-    def _pad_measure(self, p, nu, measured_key, measured_blocks):
-        key = (p, nu, measured_key)
+    def _pad_measure(self, p, nu, measured_blocks):
+        key = (p, nu, measured_blocks)
         if key not in self._measure_cache:
             out = VClassMeasure.delta(p, nu)
             single = VClassMeasure.hyperbolic(p, nu)
@@ -446,11 +442,9 @@ class DensityEngine:
     def count(self, p, n, gamma, nu):
         """#{x mod p^nu : Q(x + gamma) = n mod p^nu} for the padded lattice."""
         n = Fraction(n)
-        self._check_dual(gamma)
         enum_polys, measured = self._plan(p, gamma)
         scale = _counting_scale(n, enum_polys, p)
-        mkey = tuple(sorted(str(b) for b in measured))
-        pad = self._pad_measure(p, nu, mkey, measured)
+        pad = self._pad_measure(p, nu, measured)
         w_exp = nu + scale
         modulus = p ** w_exp
         pscale = p ** scale

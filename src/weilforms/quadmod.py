@@ -1,7 +1,9 @@
 """Even lattices, their discriminant groups, and the dual Weil representation.
 
 All bookkeeping is exact: Gram matrices are integer matrices, dual vectors
-and values of the quadratic form are Fractions.  The signature mod 8 is the
+and values of the quadratic form are Fractions.  A dual vector x passes the
+dual test when G x is integral, and its coset is read off in integers, as
+(U G x) mod d from the Smith form U G V = D.  The signature mod 8 is the
 exact inertia n+ - n- of the Gram matrix (Milgram's formula); only the Weil
 matrices themselves are complex floats.
 """
@@ -77,41 +79,36 @@ class EvenLattice:
                     for i in range(self.rank) for j in range(self.rank)),
                    Fraction(0))
 
-    def in_dual(self, v) -> bool:
-        """v lies in the dual lattice iff G v is integral."""
-        gv = _linalg.mat_vec(self.gram, [Fraction(x) for x in v])
-        return all(x.denominator == 1 for x in map(Fraction, gv))
-
 
 class FiniteQuadraticModule:
     """Discriminant group A = L'/L with its Q/Z valued quadratic form.
 
-    Generators come from the Smith normal form of the Gram matrix; each
-    generator is sign-normalized so that its canonical dual representative
-    in [0,1)^n is the lexicographically larger of the two choices +-w.
-    An element is its tuple of generator coordinates, each reduced mod the
-    order of its generator.
+    Generators come from the Smith normal form U G V = D of the Gram matrix:
+    generator i is the column V e_i / d_i, for the d_i > 1.  Each generator
+    is sign-normalized so that its canonical dual representative in [0,1)^n
+    is the lexicographically larger of the two choices +-w; row i of U takes
+    the same sign, which keeps U G V = D.  An element is its tuple of
+    generator coordinates, each reduced mod the order of its generator.
     """
 
     def __init__(self, lattice: EvenLattice):
         self.lattice = lattice
         n = lattice.rank
         d, u, v = _linalg.smith_normal_form(lattice.gram)
-        kept = tuple(i for i in range(n) if d[i] > 1)
-        cols = [[Fraction(v[r][i], d[i]) for r in range(n)] for i in range(n)]
-        vmat = [list(row) for row in v]
+        kept = [i for i in range(n) if d[i] > 1]
+        to_dual, coset_rows = [], []
         for i in kept:
-            w = tuple(_mod1(x) for x in cols[i])
-            wneg = tuple(_mod1(-x) for x in cols[i])
-            if wneg > w:
-                for r in range(n):
-                    cols[i][r] = -cols[i][r]
-                    vmat[r][i] = -vmat[r][i]
-        self._all_orders = tuple(d)
-        self._kept = kept
+            col = tuple(Fraction(v[r][i], d[i]) for r in range(n))
+            row = tuple(u[i])
+            if tuple(_mod1(-x) for x in col) > tuple(map(_mod1, col)):
+                col, row = tuple(-x for x in col), tuple(-x for x in row)
+            to_dual.append(col)
+            coset_rows.append(row)
         self.generator_orders = tuple(d[i] for i in kept)
-        self.to_dual = tuple(tuple(cols[i]) for i in kept)
-        self._vinv = tuple(map(tuple, _linalg.inverse(vmat)))
+        self.to_dual = tuple(to_dual)
+        # x = V D^-1 c for the coordinates c of a dual vector x, so
+        # c = D V^-1 x = U G x: the rows of U read cosets off G x
+        self.coset_rows = tuple(coset_rows)
         self.q_matrix = tuple(
             tuple(_mod1(lattice.qvalue(wa) if a == b else lattice.pairing(wa, wb))
                   for b, wb in enumerate(self.to_dual))
@@ -144,9 +141,11 @@ class FiniteQuadraticModule:
 
     def orbit_reps(self):
         """The lexicographically smaller of gamma, -gamma, once per pair."""
-        for gamma in self.elements():
-            if gamma <= self.neg(gamma):
-                yield gamma
+        return (g for g in self.elements() if g <= self.neg(g))
+
+    def pair_reps(self):
+        """The orbit representatives that are not their own negative."""
+        return (g for g in self.elements() if g < self.neg(g))
 
     def dual_vector(self, gamma):
         """Canonical dual-lattice representative of gamma (may be any coset rep)."""
@@ -212,37 +211,26 @@ def enlarge_lattice(lattice: EvenLattice, m: Fraction, beta) -> EvenLattice:
     beta = tuple(Fraction(x) for x in beta)
     if m <= 0:
         raise IndexMismatchError("index m must be positive")
-    if not lattice.in_dual(beta):
+    gbeta = _linalg.integral_image(lattice.gram, beta)
+    if gbeta is None:
         raise IndexMismatchError("beta is not in the dual lattice")
     corner = lattice.qvalue(beta) + m
     if corner.denominator != 1:
         raise IndexMismatchError("m + Q(beta) must be integral")
-    gbeta = tuple(int(x) for x in _linalg.mat_vec(lattice.gram, beta))
     rows = [row + (b,) for row, b in zip(lattice.gram, gbeta)]
     rows.append(gbeta + (2 * int(corner),))
     return EvenLattice(tuple(rows))
 
 
-def dual_coset(lattice: EvenLattice, v) -> tuple:
-    """Canonical coordinates of v + L in the discriminant group."""
-    return module_dual_coset(discriminant_module(lattice), v)
-
-
 def module_dual_coset(module: FiniteQuadraticModule, v) -> tuple:
+    """Coordinates of the coset v + L of a dual vector v: (U G v) mod d."""
     v = [Fraction(x) for x in v]
-    lat = module.lattice
-    if len(v) != lat.rank:
+    if len(v) != module.lattice.rank:
         raise NotInDualError("wrong vector length")
-    if not lat.in_dual(v):
+    gv = _linalg.integral_image(module.lattice.gram, v)
+    if gv is None:
         raise NotInDualError("vector does not pair integrally with the lattice")
-    t = _linalg.mat_vec(module._vinv, v)
-    coords = []
-    for i in module._kept:
-        c = Fraction(t[i]) * module._all_orders[i]
-        if c.denominator != 1:
-            raise NotInDualError("vector does not lie in the dual lattice")
-        coords.append(int(c) % module._all_orders[i])
-    return tuple(coords)
+    return module.element(_linalg.mat_vec(module.coset_rows, gv))
 
 
 def cyclic_module(n_disc: int):

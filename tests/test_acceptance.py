@@ -173,8 +173,7 @@ def test_criterion_10_property_suite():
         if basis:
             idx = basis[0][0]
         else:
-            beta = next((b for b in module.orbit_reps()
-                         if not module.is_self_negative(b)), module.zero())
+            beta = next(module.pair_reps(), module.zero())
             m = (-module.qvalue(beta)) % 1
             idx = CuspIndex(m if m else Fraction(1), beta)
         series = r_series(lattice, weight, idx, 10)

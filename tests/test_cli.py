@@ -113,7 +113,9 @@ def test_stdout_pinned_for_paths_the_benchmark_never_runs(gram_file, capsys):
     # when every picked series was computed a second time; the [[-502]]
     # series, 251 L-values over 131 characters of conductor up to 993, at
     # dcc2632, when each L-value was summed afresh with kronecker at every a;
-    # fqm-info and dim at dee712e, before elements were coordinate tuples
+    # fqm-info and dim at dee712e, before elements were coordinate tuples;
+    # cusp-basis [[-12]] at prec 9 at 44f8bfc, when the picked series were
+    # built again above the working precision
     m12 = gram_file("m12.json", [[-12]])
     det16 = gram_file("det16.json", [[0, 0, 2], [0, -4, 0], [2, 0, 0]])
     m118 = gram_file("m118.json", [[-118]])
@@ -131,6 +133,8 @@ def test_stdout_pinned_for_paths_the_benchmark_never_runs(gram_file, capsys):
             "c38e0e564e6229f2de5d2d8b9c6d59169208caae1c4465f81aec7e152f92205f",
         "cusp-basis --gram %s --weight 15/2 --prec 2" % m12:
             "46bcd480328639259a7147dbcee6b216e1b518a19cf871eaf0f4b26a665a33dc",
+        "cusp-basis --gram %s --weight 15/2 --prec 9" % m12:
+            "e22f75951e7d5d64debea267dd5c0660b172601cd508f7185acf2f430210e147",
         "class-identity --prop10 ii --n-max 100":
             "145ec86371acad12b67173a50e6807cf67227d3a7711645a44b1b5e74e1056ae",
         "weight3 --n 25 --prec 10":
@@ -260,6 +264,22 @@ def test_exit_codes(gram_file, capsys, tmp_path):
                                     "--bound", "8"])
     assert code == 2
     assert json.loads(err)["error"] == "InputError"
+    # 2: a bool coefficient in the lift input, which Fraction reads as 1
+    bool_c = tmp_path / "bool_c.json"
+    bool_c.write_text(json.dumps({"gram": [[-4]], "weight": "11/2",
+                                  "prec": "2/1", "coeffs": [
+                                      {"gamma": [3], "n": "1/8", "c": True}]}))
+    code, _, err = run_cli(capsys, ["theta-lift", "--gram", s2, "--input",
+                                    str(bool_c), "--weight", "5", "--bound", "8"])
+    assert code == 2
+    assert json.loads(err)["error"] == "InputError"
+    # 2: a --beta of the wrong length, as a dual vector or as coordinates
+    for beta in ("1/2,1/2", "1,2"):
+        code, _, err = run_cli(capsys, ["r-series", "--gram", g2, "--weight",
+                                        "11/2", "--m", "1/8", "--beta", beta,
+                                        "--prec", "2"])
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
     # 2: an Infinity in the lift input (json reads it as a float)
     inf_c = tmp_path / "inf_c.json"
     inf_c.write_text('{"gram": [[-4]], "weight": "11/2", "prec": "2/1", '
@@ -351,6 +371,29 @@ def test_no_unused_imports():
     assert len(paths) > 20
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_no_dead_private_helpers():
+    # every private function, class or method of the package is referenced
+    # somewhere in it, as a name or as an attribute
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    defined, referenced = {}, set()
+    for path in sorted(glob.glob(os.path.join(root, "src", "weilforms", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[name] = "%s:%d" % (os.path.basename(path), node.lineno)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert len(defined) > 40
+    dead = sorted("%s %s" % (where, name) for name, where in defined.items()
+                  if name not in referenced)
+    assert not dead, dead
 
 
 def test_cache_cold_and_warm_identical(gram_file, capsys, tmp_path):

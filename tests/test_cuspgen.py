@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from weilforms.cuspgen import (CuspIndex, candidate_indices, coset_window,
                                cusp_basis, jacobi_coefficients, r_series,
                                weight3_cyclic)
 from weilforms.eisenstein import exponents_for, modularity_residual
-from weilforms.errors import (UnsupportedModuleError, UnsupportedWeightError,
-                              WrongParityError)
+from weilforms.errors import (IndexMismatchError, UnsupportedModuleError,
+                              UnsupportedWeightError, WrongParityError)
 from weilforms.quadmod import (EvenLattice, _mod1, discriminant_module,
                                enlarge_lattice, module_dual_coset)
 
@@ -21,12 +22,44 @@ def n2_form(prec):
                           CuspIndex(Fraction(1, 8), A.element((3,))), prec)
 
 
+def coset_window_by_steps(r0, bound):
+    """All r in r0 + Z with r^2 <= bound, stepping r up one at a time."""
+    out = []
+    if bound < 0:
+        return out
+    ab = bound.numerator * bound.denominator
+    s = Fraction(math.isqrt(ab) + 1, bound.denominator)  # s >= sqrt(bound)
+    r = r0 + math.ceil(-r0 - s)
+    while r * r > bound:
+        r += 1
+        if r > s:
+            return out
+    while r * r <= bound:
+        out.append(r)
+        r += 1
+    return out
+
+
 def test_coset_window():
     assert coset_window(Fraction(1, 4), Fraction(1, 16)) == [Fraction(1, 4)]
     assert coset_window(Fraction(3, 4), Fraction(9, 16)) == [Fraction(-1, 4),
                                                              Fraction(3, 4)]
     assert coset_window(Fraction(0), Fraction(4)) == [-2, -1, 0, 1, 2]
     assert coset_window(Fraction(1, 2), Fraction(0)) == []
+    # the closed form against the stepping loop; r0 = a/q and a bound with
+    # a denominator dividing q^2 put perfect squares (r0 + t)^2 on the edge
+    rng = random.Random(39)
+    squares = 0
+    for _ in range(12000):
+        q = rng.randrange(1, 13)
+        r0 = Fraction(rng.randrange(-30, 31), q)
+        if rng.random() < 0.4:
+            bound = (r0 + rng.randrange(-6, 7)) ** 2
+            squares += 1
+        else:
+            bound = Fraction(rng.randrange(-20, 400), rng.randrange(1, 4 * q * q))
+        assert coset_window(r0, bound) == coset_window_by_steps(r0, bound), (r0, bound)
+    assert squares > 4000
 
 
 def test_golden_n2_series():
@@ -83,6 +116,11 @@ def test_r_series_errors():
         r_series(L, 5, idx, 4)
     with pytest.raises(UnsupportedWeightError):
         r_series(L, Fraction(7, 2), idx, 4)
+    # the index is checked before the weight
+    with pytest.raises(IndexMismatchError, match="must be integral"):
+        r_series(L, 5, CuspIndex(Fraction(1, 4), A.element((3,))), 4)
+    with pytest.raises(IndexMismatchError, match="must be positive"):
+        r_series(L, 5, CuspIndex(0, A.element((3,))), 4)
 
 
 def test_cusp_basis_golden_cases():
@@ -132,15 +170,17 @@ def test_jacobi_coefficient_views():
     enlarged = enlarge_lattice(L, idx.m, A.dual_vector(beta))
     eis = eisenstein_qexp(enlarged, 4, 4)
     gamma = A.element((1,))
-    n = Fraction(9, 8)
-    terms = jacobi_coefficients(A, idx, gamma, n, eis)
+    triples = jacobi_coefficients(A, idx, gamma, eis)
+    assert triples == sorted(triples, key=lambda t: t[:2])
+    assert sorted({t[0] for t in triples}) == exponents_for(A, gamma, 4)
     pairing = A.bilinear(gamma, beta)
-    for r, _ in terms:
+    for n, r, _ in triples:
         assert _mod1(Fraction(r) + pairing) == 0     # r in Z - <gamma, beta>
         assert r * r <= 4 * idx.m * n
     # the regrouped sum reproduces the series coefficient
+    n = Fraction(9, 8)
     f = r_series(L, Fraction(11, 2), idx, 4)
-    total = sum(r * c for r, c in terms) / (2 * idx.m)
+    total = sum(r * c for e, r, c in triples if e == n) / (2 * idx.m)
     assert total == f.coefficient(gamma, n) == -237
 
 
@@ -168,19 +208,20 @@ def test_all_two_torsion_r_series_reads_no_series(monkeypatch):
         r_series(L6, 4, CuspIndex(1, zero), 3)
 
 
-def jacobi_terms_per_r(module, idx, gamma, n, eis):
-    """The r-sum read one coset at a time: a `module_dual_coset` call per r."""
-    n = Fraction(n)
+def jacobi_terms_per_r(module, idx, gamma, eis):
+    """The r-sums read one coset at a time: a `module_dual_coset` call per
+    (n, r)."""
     m = idx.m
     beta_vec = module.dual_vector(idx.beta)
     gamma_vec = module.dual_vector(gamma)
     out = []
     r0 = _mod1(-module.bilinear(gamma, idx.beta))
-    for r in coset_window(r0, 4 * m * n):
-        w_vec = tuple(gv - (r / (2 * m)) * bv
-                      for gv, bv in zip(gamma_vec, beta_vec)) + (r / (2 * m),)
-        w = module_dual_coset(eis.module, w_vec)
-        out.append((r, eis.coefficient(w, n - r * r / (4 * m))))
+    for n in exponents_for(module, gamma, eis.prec):
+        for r in coset_window_by_steps(r0, 4 * m * n):
+            w_vec = tuple(gv - (r / (2 * m)) * bv
+                          for gv, bv in zip(gamma_vec, beta_vec)) + (r / (2 * m),)
+            w = module_dual_coset(eis.module, w_vec)
+            out.append((n, r, eis.coefficient(w, n - r * r / (4 * m))))
     return out
 
 
@@ -188,8 +229,9 @@ class _CosetEcho:
     """Stands in for the enlarged series: each coefficient names its coset
     and exponent, so equal terms mean equal cosets, not equal values."""
 
-    def __init__(self, module):
+    def __init__(self, module, prec):
         self.module = module
+        self.prec = Fraction(prec)
 
     def coefficient(self, w, e):
         return (w, e)
@@ -220,13 +262,34 @@ def test_affine_r_sum_matches_per_r_cosets():
         indices = candidate_indices(A, Fraction(4))
         for idx in rng.sample(indices, min(3, len(indices))):
             enlarged = enlarge_lattice(L, idx.m, A.dual_vector(idx.beta))
-            eis = _CosetEcho(discriminant_module(enlarged))
             for gamma in rng.sample(list(A.elements()), min(4, A.order)):
-                for n in exponents_for(A, gamma, rng.randrange(1, 6)):
-                    terms = jacobi_coefficients(A, idx, gamma, n, eis)
-                    assert terms == jacobi_terms_per_r(A, idx, gamma, n, eis)
-                    draws += 1
+                eis = _CosetEcho(discriminant_module(enlarged), rng.randrange(1, 6))
+                terms = jacobi_coefficients(A, idx, gamma, eis)
+                assert terms == jacobi_terms_per_r(A, idx, gamma, eis)
+                draws += len({n for n, _, _ in terms})
     assert draws > 500
+
+
+def test_r_series_reads_two_cosets_per_pair_rep(monkeypatch):
+    # w(r0) and delta once per gamma, whatever the precision
+    import weilforms.cuspgen as cuspgen
+    calls = []
+
+    def counted(module, v):
+        calls.append(v)
+        return module_dual_coset(module, v)
+
+    monkeypatch.setattr(cuspgen, "module_dual_coset", counted)
+    n2 = EvenLattice(((-4,),))
+    d5 = EvenLattice(((-2, -1), (-1, 2)))
+    beta = module_dual_coset(discriminant_module(d5), (Fraction(2, 5), Fraction(1, 5)))
+    cases = [(n2, Fraction(11, 2), CuspIndex(Fraction(1, 8), (3,)), 10, 1),
+             (d5, 5, CuspIndex(Fraction(1, 5), beta), 12, 2)]
+    for lattice, weight, idx, prec, pair_reps in cases:
+        assert len(list(discriminant_module(lattice).pair_reps())) == pair_reps
+        del calls[:]
+        r_series(lattice, weight, idx, prec)
+        assert len(calls) == 2 * pair_reps
 
 
 def _count_series(monkeypatch):
@@ -261,12 +324,11 @@ def test_cusp_basis_builds_each_series_once(monkeypatch):
     del built[:], ranked[:]
     short = cusp_basis(L, weight, prec=work_prec - 1)
     assert len(built) == len(ranked)
-    # above it, each picked index is built once more, at the asked precision
+    # above it, each candidate is built once, at the asked precision
     del built[:], ranked[:]
     long = cusp_basis(L, weight, prec=work_prec + 1)
-    assert len(built) == len(ranked) + len(long)
-    assert len(set(built[:len(ranked)])) == len(ranked)
-    assert all(prec == work_prec + 1 for _, prec in built[len(ranked):])
+    assert len(built) == len(ranked) == len(set(built))
+    assert all(prec == work_prec + 1 for _, prec in built)
     for (idx, f), (idx_s, g), (idx_l, h) in zip(basis, short, long):
         assert idx == idx_s == idx_l
         assert g.prec == work_prec - 1 and h.prec == work_prec + 1

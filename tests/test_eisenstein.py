@@ -272,6 +272,20 @@ def test_from_json_rejects_gamma_outside_group():
         with pytest.raises(InputError, match="OverflowError"):
             QExpansion.from_json_dict(data)
         item[key] = saved
+    # n, c, weight and prec are JSON strings or integers: a bool or a float
+    # is refused, not read as a number
+    for item, key in ((data["coeffs"][0], "c"), (data["coeffs"][0], "n"),
+                      (data, "weight"), (data, "prec")):
+        for value in (True, 0.25, 3.0):
+            saved, item[key] = item[key], value
+            with pytest.raises(InputError, match="must be a string or an integer"):
+                QExpansion.from_json_dict(data)
+            item[key] = saved
+    # a repeated (gamma, n) is refused, however n is written
+    data["coeffs"].append({"gamma": [1], "n": "2/8", "c": "7/1"})
+    with pytest.raises(InputError, match="repeated coefficient"):
+        QExpansion.from_json_dict(data)
+    data["coeffs"].pop()
     assert QExpansion.from_json_dict(data).coefficient((1,), Fraction(1, 4)) == 3
 
 

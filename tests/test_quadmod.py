@@ -9,9 +9,9 @@ import sympy
 from weilforms import _linalg
 from weilforms.errors import (DegenerateModuleError, IndexMismatchError, InputError,
                               NotInDualError)
-from weilforms.quadmod import (EvenLattice, cyclic_module, discriminant_module,
-                               dual_coset, enlarge_lattice, module_dual_coset,
-                               weil_matrices)
+from weilforms.quadmod import (EvenLattice, _mod1, cyclic_module,
+                               discriminant_module, enlarge_lattice,
+                               module_dual_coset, weil_matrices)
 
 
 def test_discriminant_module_rank_one():
@@ -107,6 +107,8 @@ def test_milgram_modulus_random_modules():
         assert abs(abs(total) - math.sqrt(A.order)) < 1e-6
         # one orbit representative per pair {g, -g}: the smaller, ascending
         assert list(A.orbit_reps()) == sorted({min(g, A.neg(g)) for g in A.elements()})
+        assert list(A.pair_reps()) == [g for g in A.orbit_reps()
+                                       if not A.is_self_negative(g)]
 
 
 def _gauss_sum_signature(A):
@@ -227,11 +229,31 @@ def test_enlarge_lattice_errors():
         enlarge_lattice(L, Fraction(-7, 8), (Fraction(3, 4),))
 
 
+def vinv_dual_coset(A, v):
+    """The coset map through the inverse of the sign-normalized V of the
+    Smith form U G V = D: coordinate i is (D V^-1 v)_i mod d_i."""
+    n = A.lattice.rank
+    d, _, vmat = _linalg.smith_normal_form(A.lattice.gram)
+    vmat = [list(row) for row in vmat]
+    for i in (i for i in range(n) if d[i] > 1):
+        col = [Fraction(vmat[r][i], d[i]) for r in range(n)]
+        if tuple(_mod1(-x) for x in col) > tuple(_mod1(x) for x in col):
+            for r in range(n):
+                vmat[r][i] = -vmat[r][i]
+    t = _linalg.mat_vec(_linalg.inverse(vmat), [Fraction(x) for x in v])
+    out = []
+    for i in (i for i in range(n) if d[i] > 1):
+        c = Fraction(t[i]) * d[i]
+        assert c.denominator == 1
+        out.append(int(c) % d[i])
+    return tuple(out)
+
+
 def test_dual_coset_identity_and_group_law():
     L = EvenLattice(((2, 1), (1, -2)))
     A = discriminant_module(L)
-    assert dual_coset(L, (0, 0)) == A.zero()
-    assert dual_coset(L, (3, -2)) == A.zero()
+    assert module_dual_coset(A, (0, 0)) == A.zero()
+    assert module_dual_coset(A, (3, -2)) == A.zero()
     rng = random.Random(5)
     for _ in range(10):
         g = rng.choice(list(A.elements()))
@@ -242,12 +264,24 @@ def test_dual_coset_identity_and_group_law():
         e2 = module_dual_coset(A, tuple(-x for x in v2))
         assert A.add(e1, e2) == A.zero()
         assert e1 == g
+    # U G v against the V^-1 map, on dual vectors shifted by lattice vectors
+    draws = 0
+    while draws < 2400:
+        A = discriminant_module(EvenLattice(
+            _random_even_gram(rng, rng.randrange(1, 5), 60)))
+        for _ in range(40):
+            g = tuple(rng.randrange(d) for d in A.generator_orders)
+            v = tuple(x + rng.randrange(-3, 4) for x in A.dual_vector(g))
+            got = module_dual_coset(A, v)
+            assert got == vinv_dual_coset(A, v) == g, (A.lattice.gram, v)
+            assert all(type(c) is int for c in got)
+            draws += 1
 
 
 def test_dual_coset_rejects_non_dual_vectors():
     L = EvenLattice(((2, 1), (1, -2)))
     with pytest.raises(NotInDualError):
-        dual_coset(L, (Fraction(1, 3), 0))
+        module_dual_coset(discriminant_module(L), (Fraction(1, 3), 0))
 
 
 def test_cyclic_module():
